@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, l2_normalize
+from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, l2_normalize
 
 
 def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarray:
@@ -31,13 +31,18 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     if Q.shape[1] != E.shape[1]:
         raise ValueError("shape mismatch")
     k_eval = min(k_eval, E.shape[0])
-    sims = Q @ E.T
-    nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k_eval]
     n_classes = int(labels.max()) + 1
     pred = np.empty(Q.shape[0], dtype=np.int64)
-    for i in range(Q.shape[0]):
-        votes = np.bincount(labels[nearest[i]], minlength=n_classes)
-        pred[i] = int(np.argmax(votes))  # argmax returns the lowest class id on ties
+    for start, nearest in cosine_top_k(Q, E, k_eval):
+        votes = labels[nearest]
+        if votes.min() < 0:
+            # the error a per-query np.bincount vote gives
+            raise ValueError("'list' argument must have no negative elements")
+        # one bincount over (query, label) pairs; argmax takes the lowest class id on ties
+        m = len(votes)
+        pairs = np.arange(m)[:, None] * n_classes + votes
+        counts = np.bincount(pairs.ravel(), minlength=m * n_classes).reshape(m, n_classes)
+        pred[start : start + m] = counts.argmax(axis=1)
     return pred
 
 
@@ -114,16 +119,15 @@ def recall_at_k(
     gl = np.asarray(gallery_labels, dtype=np.int64)
     Q = l2_normalize(query_emb, axis="rows")
     ql = np.asarray(query_labels, dtype=np.int64)
-    sims = Q @ G.T
-    if exclude_self:
-        if Q.shape[0] != G.shape[0]:
-            raise ValueError("exclude_self needs query and gallery of equal size")
-        np.fill_diagonal(sims, -np.inf)
+    if exclude_self and Q.shape[0] != G.shape[0]:
+        raise ValueError("exclude_self needs query and gallery of equal size")
     K = min(K, G.shape[0] - (1 if exclude_self else 0))
     if K < 1:
         raise ValueError("K ≥ 1")
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :K]
-    hits = (gl[order] == ql[:, None]).any(axis=1)
+    hits = np.empty(Q.shape[0], dtype=bool)
+    for start, top in cosine_top_k(Q, G, K, exclude_self=exclude_self):
+        stop = start + len(top)
+        hits[start:stop] = (gl[top] == ql[start:stop, None]).any(axis=1)
     return float(np.mean(hits))
 
 

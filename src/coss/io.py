@@ -15,8 +15,10 @@ so a crash never leaves a half-written file behind.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -69,13 +71,32 @@ def _check_header(r: _Reader, magic: bytes) -> None:
         raise FormatError(f"unsupported version {version}")
 
 
+# The mode open() would give a new file; mkstemp's own is 0600.  Read once:
+# os.umask can only be read by setting it.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write(path, blob: bytes) -> None:
-    """Write to a temp file in the same directory, then rename into place."""
+    """Write to a fresh temp file in the same directory, fsync it, then rename into place.
+
+    Every call gets its own temp name, so concurrent writers of one path
+    never share a temp file, and the temp file is removed if the write fails.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_file(path) -> bytes:

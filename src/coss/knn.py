@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import l2_normalize
+from .linalg import cosine_top_k, l2_normalize
 
 
 @dataclass(eq=False)
@@ -35,9 +35,9 @@ class NeighborIndex:
         rows = np.arange(self.n)[:, None]
         if np.any(self.neighbors == rows):
             raise ValueError("row contains its own sample index")
-        for i in range(self.n):
-            if len(np.unique(self.neighbors[i])) != self.pool:
-                raise ValueError("duplicate neighbor index in row")
+        ordered = np.sort(self.neighbors, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("duplicate neighbor index in row")
 
     def __eq__(self, other):
         if not isinstance(other, NeighborIndex):
@@ -63,17 +63,8 @@ def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
         raise ValueError("pool ≥ 1")
     if pool >= n:
         raise ValueError("pool too large")
-    out = np.empty((n, pool), dtype=np.int64)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        # einsum (not BLAS matmul) so identical candidate vectors produce
-        # bit-identical similarities and the index tie-break is honoured
-        sims = np.einsum("id,jd->ij", E[start:stop], E)
-        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        # stable sort on -sim keeps lower indices first among ties
-        order = np.argsort(-sims, axis=1, kind="stable")
-        out[start:stop] = order[:, :pool]
-    return NeighborIndex(n=n, pool=pool, neighbors=out)
+    blocks = cosine_top_k(E, E, pool, exclude_self=True, block_rows=block_size)
+    return NeighborIndex(n=n, pool=pool, neighbors=np.concatenate([top for _, top in blocks]))
 
 
 def sample_neighbors(index: NeighborIndex, i: int, k: int, rng: np.random.Generator) -> list[int]:

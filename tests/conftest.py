@@ -53,6 +53,22 @@ def brute_topk_neighbors(emb, pool):
     return np.array(out, dtype=np.int64)
 
 
+def distinct_directions(n, dim, rng):
+    """``n`` integer-valued rows, no two of them pointing the same way.
+
+    Rows drawn from these tie in cosine only when they are exact copies:
+    parallel rows of different length tie in exact arithmetic but not
+    always after rounding, which would make a brute-force oracle and the
+    package disagree on order for reasons unrelated to tie-breaking.
+    """
+    while True:
+        base = np.round(rng.normal(size=(n, dim)) * 100)
+        unit = base / np.maximum(np.linalg.norm(base, axis=1, keepdims=True), 1.0)
+        cos = unit @ unit.T
+        if np.all(cos[~np.eye(n, dtype=bool)] < 1.0 - 1e-12):
+            return base
+
+
 def brute_loss_co(S, T):
     S = np.asarray(S, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)

@@ -1,11 +1,14 @@
 """k-NN vote, linear probe, retrieval recall, and alignment diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coss.linalg
 from coss.evaluate import (
     alignment_diagnostics,
     knn_classify,
@@ -15,7 +18,7 @@ from coss.evaluate import (
 )
 from coss.losses import loss_co
 
-from conftest import brute_cosine
+from conftest import brute_cosine, distinct_directions
 
 
 def brute_vote(train_emb, train_labels, q, k):
@@ -40,6 +43,24 @@ def brute_recall(query_emb, gallery_emb, query_labels, gallery_labels, K):
         if any(gallery_labels[j] == ql for _, j in scored[:K]):
             hits += 1
     return hits / len(query_emb)
+
+
+def tied_embeddings(seed, n_query, n_gallery, n_base=6, dim=3):
+    """Integer rows drawn from a few distinct ones, so exact duplicates tie."""
+    rng = np.random.default_rng(seed)
+    base = distinct_directions(n_base, dim, rng)
+    return (
+        base[rng.integers(0, n_base, size=n_query)],
+        base[rng.integers(0, n_base, size=n_gallery)],
+        rng.integers(0, 3, size=n_query),
+        rng.integers(0, 3, size=n_gallery),
+    )
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of a few query rows, so every call crosses block boundaries."""
+    monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", 100)
 
 
 class TestKnnClassify:
@@ -107,6 +128,29 @@ class TestKnnClassify:
             k_eval=3,
         )
         assert base.tolist() == scaled.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_across_blocks_match_brute_force_vote(self, seed, small_blocks):
+        query, train, _, labels = tied_embeddings(seed, 45, 30)
+        for k_eval in (1, 4, 7):
+            pred = knn_predict(train, labels, query, k_eval)
+            expect = [brute_vote(train, labels.tolist(), q, k_eval) for q in query]
+            assert pred.tolist() == expect
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_train_rows_tie_wherever_they_sit(self, seed):
+        # 235 train rows is no multiple of a BLAS kernel's tile width; a
+        # matmul can round a duplicate in the edge tile apart from its twin
+        query, train, _, labels = tied_embeddings(seed, 100, 235, n_base=8, dim=4)
+        pred = knn_predict(train, labels, query, k_eval=1)
+        assert pred.tolist() == [brute_vote(train, labels.tolist(), q, 1) for q in query]
+
+    def test_block_size_never_changes_predictions(self, monkeypatch):
+        query, train, _, labels = tied_embeddings(9, 60, 40)
+        dense = knn_predict(train, labels, query, k_eval=5)  # one block
+        for block_sims in (1, 40, 130):
+            monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", block_sims)
+            np.testing.assert_array_equal(knn_predict(train, labels, query, k_eval=5), dense)
 
 
 class TestLinearProbe:
@@ -208,6 +252,56 @@ class TestRecallAtK:
                 np.ones((2, 2)), np.ones((3, 2)), [0, 0], [0, 0, 0],
                 K=1, exclude_self=True,
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_across_blocks_match_brute_force_oracle(self, seed, small_blocks):
+        query, gallery, ql, gl = tied_embeddings(seed, 45, 30)
+        for K in (1, 3, 8):
+            assert recall_at_k(query, gallery, ql, gl, K) == brute_recall(
+                query, gallery, ql.tolist(), gl.tolist(), K
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_gallery_rows_tie_wherever_they_sit(self, seed):
+        query, gallery, ql, gl = tied_embeddings(seed, 100, 235, n_base=8, dim=4)
+        assert recall_at_k(query, gallery, ql, gl, 1) == brute_recall(
+            query, gallery, ql.tolist(), gl.tolist(), 1
+        )
+
+    def test_exclude_self_across_blocks(self, small_blocks):
+        _, emb, _, labels = tied_embeddings(3, 0, 40)
+        for K in (1, 5):
+            hits = 0
+            for i in range(40):
+                # brute force over the others; j keeps the gallery index for ties
+                scored = sorted((-brute_cosine(emb[i], emb[j]), j) for j in range(40) if j != i)
+                hits += any(labels[j] == labels[i] for _, j in scored[:K])
+            assert recall_at_k(emb, emb, labels, labels, K, exclude_self=True) == hits / 40
+
+    def test_block_size_never_changes_recall(self, monkeypatch):
+        query, gallery, ql, gl = tied_embeddings(10, 60, 40)
+
+        def recalls():
+            return [recall_at_k(query, gallery, ql, gl, K) for K in (1, 2, 5)] + [
+                recall_at_k(gallery, gallery, gl, gl, 3, exclude_self=True)
+            ]
+
+        dense = recalls()  # one block
+        for block_sims in (1, 40, 130):
+            monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", block_sims)
+            assert recalls() == dense
+
+    def test_memory_stays_far_below_a_dense_matrix(self):
+        n = 4000
+        emb = np.random.default_rng(12).normal(size=(n, 16))
+        labels = np.arange(n) % 10
+        tracemalloc.start()
+        try:
+            recall_at_k(emb, emb, labels, labels, 1, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # an eighth of one dense n x n float64 array
 
 
 class TestAlignmentDiagnostics:

@@ -1,5 +1,6 @@
 """Binary format encode/decode, atomic writes, and the tab-separated report."""
 
+import os
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from coss.data import Dataset
 from coss.errors import FormatError, NumericalError
 from coss.io import (
+    atomic_write,
     decode_dataset,
     decode_index,
     decode_model,
@@ -214,6 +216,41 @@ class TestRandomPayloadRoundTrips:
             assert encode_index(decode_index(idx_blob)) == idx_blob
             m_blob = encode_model(random_model(rng))
             assert encode_model(decode_model(m_blob)) == m_blob
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write(tmp_path / "demo.bin", "not bytes")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "demo.bin"
+        atomic_write(path, b"old")
+        with pytest.raises(TypeError):
+            atomic_write(path, "not bytes")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"
+
+    def test_each_write_has_its_own_temp_file(self, tmp_path, monkeypatch):
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: (renamed.append(src), replace(src, dst))
+        )
+        path = tmp_path / "demo.bin"
+        atomic_write(path, b"first")
+        atomic_write(path, b"second")
+        assert len(renamed) == 2 and renamed[0] != renamed[1]
+        assert all(os.path.dirname(src) == str(tmp_path) for src in renamed)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"second"
+
+    def test_file_mode_is_that_of_open(self, tmp_path):
+        atomic_write(tmp_path / "a.bin", b"x")
+        with open(tmp_path / "b.bin", "wb") as fh:
+            fh.write(b"x")
+        assert (tmp_path / "a.bin").stat().st_mode == (tmp_path / "b.bin").stat().st_mode
 
 
 class TestReport:

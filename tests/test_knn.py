@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_topk_neighbors
+from conftest import brute_topk_neighbors, distinct_directions
 from coss.knn import NeighborIndex, build_index, sample_neighbors
 
 
@@ -44,6 +44,16 @@ class TestBuildIndex:
         scaled = emb * rng.uniform(0.1, 9.0, size=(12, 1))
         assert build_index(emb, 3) == build_index(scaled, 3)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_ties_across_blocks_match_brute_force(self, seed, n, block_size):
+        rng = np.random.default_rng(seed)
+        # copies of a few distinct rows, so most rows have exact duplicates
+        emb = distinct_directions(4, 2, rng)[rng.integers(0, 4, size=n)]
+        pool = min(5, n - 1)
+        idx = build_index(emb, pool, block_size=block_size)
+        np.testing.assert_array_equal(idx.neighbors, brute_topk_neighbors(emb, pool))
+
     def test_blockwise_matches_dense(self):
         emb = np.random.default_rng(11).normal(size=(40, 6))
         assert build_index(emb, 5, block_size=7) == build_index(emb, 5, block_size=4096)
@@ -57,6 +67,10 @@ class TestNeighborIndexInvariants:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             NeighborIndex(n=3, pool=2, neighbors=[[1, 1], [0, 2], [0, 1]])
+
+    def test_rejects_duplicate_apart_in_a_later_row(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            NeighborIndex(n=4, pool=3, neighbors=[[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 2, 0]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coss.linalg import l2_normalize, mean_rowwise_dot, pairwise_cosine
+from coss.linalg import cosine_top_k, l2_normalize, mean_rowwise_dot, pairwise_cosine, top_k
 
 # zero entries are fine; magnitudes inside (0, eps) are not a meaningful
 # embedding scale and break the eps-guard semantics
@@ -117,6 +117,57 @@ class TestPairwiseCosine:
         S = pairwise_cosine([[0.0, 0.0], [1.0, 2.0]])
         assert S[0, 0] == 0.0
         assert S[1, 1] == 1.0
+
+
+# few distinct values, so rows are full of exact ties; -inf and -0.0 included
+tied_blocks = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.integers(1, 30)),
+    elements=st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
+)
+
+
+class TestTopK:
+    @given(tied_blocks, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort(self, sims, data):
+        k = data.draw(st.integers(1, sims.shape[1]))
+        np.testing.assert_array_equal(
+            top_k(sims, k), np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        )
+
+    def test_ties_go_to_the_lower_column(self):
+        sims = np.array([[0.5, 1.0, 0.5, 1.0, 0.5]])
+        np.testing.assert_array_equal(top_k(sims, 3), [[1, 3, 0]])
+        np.testing.assert_array_equal(top_k(sims, 1), [[1]])
+
+
+class TestCosineTopK:
+    def ranked(self, Q, G, k, **kwargs):
+        return np.concatenate([top for _, top in cosine_top_k(Q, G, k, **kwargs)])
+
+    def test_block_rows_never_change_the_ranking(self):
+        rng = np.random.default_rng(7)
+        base = l2_normalize(rng.integers(-4, 5, size=(6, 3)).astype(float))
+        Q = base[rng.integers(0, 6, size=40)]
+        G = base[rng.integers(0, 6, size=25)]
+        dense = self.ranked(Q, G, 5, block_rows=len(Q))
+        for block_rows in (1, 2, 3, 7, 39):
+            np.testing.assert_array_equal(self.ranked(Q, G, 5, block_rows=block_rows), dense)
+
+    def test_exclude_self_bars_the_diagonal(self):
+        E = l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(
+            self.ranked(E, E, 2, exclude_self=True, block_rows=2), [[1, 2], [0, 2], [0, 1]]
+        )
+
+    def test_default_blocks_hold_about_block_sims(self, monkeypatch):
+        import coss.linalg
+
+        monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", 30)
+        Q = l2_normalize(np.random.default_rng(8).normal(size=(25, 2)))
+        starts = [start for start, _ in cosine_top_k(Q, Q[:10], 1)]  # 3 rows of 10
+        assert starts == list(range(0, 25, 3))
 
 
 def test_transpose_involution():
