@@ -18,8 +18,8 @@ from .evaluate import (
     linear_probe,
     recall_at_k,
 )
-from .knn import NeighborIndex, build_index, load_index, sample_neighbors, save_index
-from .linalg import l2_normalize, mean_rowwise_dot, pairwise_cosine
+from .knn import NeighborIndex, build_index, sample_neighbors
+from .linalg import l2_normalize, mean_rowwise_dot
 from .losses import (
     BnParams,
     LossBreakdown,

@@ -53,9 +53,11 @@ def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
     """Rank every sample's ``pool`` nearest others by teacher cosine similarity.
 
     Ties are broken by lower sample index; a sample never appears in its
-    own row.  Similarities are computed blockwise so the full N x N
-    matrix is never materialised, but the result is identical to the
-    dense definition.
+    own row.  A tie is one in the *computed* cosine of the C-ordered,
+    ``l2_normalize``d rows (see ``linalg.cosine_top_k``), not in exact
+    cosine: parallel rows of different length can round apart.
+    Similarities are computed blockwise so the full N x N matrix is never
+    materialised, but the result is identical to the dense definition.
     """
     E = l2_normalize(teacher_emb, axis="rows")
     n = E.shape[0]
@@ -78,15 +80,3 @@ def sample_neighbors(index: NeighborIndex, i: int, k: int, rng: np.random.Genera
     row = index.neighbors[i]
     pick = rng.permutation(index.pool)[:k]
     return [int(row[j]) for j in pick]
-
-
-def save_index(index: NeighborIndex, path) -> None:
-    from . import io
-
-    io.write_index(path, index)
-
-
-def load_index(path) -> NeighborIndex:
-    from . import io
-
-    return io.read_index(path)

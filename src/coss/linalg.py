@@ -39,7 +39,9 @@ def l2_normalize(M, axis: str = "rows", eps: float = DEFAULT_EPS) -> np.ndarray:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    A = as_matrix(M)
+    # einsum rounds differently on other layouts, so a Fortran-ordered copy
+    # of the same rows would rank differently in cosine_top_k
+    A = np.ascontiguousarray(as_matrix(M))
     if axis == "rows":
         norms = row_norms(A)[:, None]
     elif axis == "cols":
@@ -58,6 +60,36 @@ def mean_rowwise_dot(S, T) -> float:
     return float(np.mean(np.einsum("ij,ij->i", A, B)))
 
 
+def _candidates(sims: np.ndarray, k: int, margin: float = 0.0, work: np.ndarray | None = None):
+    """Row and column of every entry at least its row's k-th largest minus ``margin``.
+
+    Every row has at least k candidates, more when ties or the margin
+    cross the threshold.  ``work``, an array of the shape of ``sims``, is
+    overwritten when given.
+    """
+    n = sims.shape[1]
+    if k == 1:
+        kth = sims.max(axis=1)
+    else:
+        work = np.empty_like(sims) if work is None else work
+        np.copyto(work, sims)
+        work.partition(n - k, axis=1)
+        kth = work[:, n - k]
+    # flatnonzero is several times faster than a 2-D nonzero
+    return np.divmod(np.flatnonzero(sims >= (kth - margin)[:, None]), n)
+
+
+def _first_k(rows, cols, vals, m: int, k: int) -> np.ndarray:
+    """The ``k`` best candidates of each of ``m`` rows by (-value, column).
+
+    ``(rows, cols, vals)`` list each row's candidates, at least ``k`` per row.
+    """
+    order = np.lexsort((cols, -vals, rows))
+    counts = np.bincount(rows, minlength=m)
+    first = np.cumsum(counts) - counts
+    return cols[order][first[:, None] + np.arange(k)]
+
+
 def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the ``k`` largest entries of every row, largest first.
 
@@ -66,58 +98,77 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     the entries at or above each row's k-th largest value get sorted.
     Needs ``1 <= k <= sims.shape[1]`` and no NaN.
     """
-    m, n = sims.shape
-    if k == 1:
-        kth = sims.max(axis=1)
-    else:
-        kth = np.partition(sims, n - k, axis=1)[:, n - k]
-    # every row has at least k candidates, more when ties cross the threshold
-    # (flatnonzero is several times faster than a 2-D nonzero)
-    rows, cols = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
-    order = np.lexsort((cols, -sims[rows, cols], rows))
-    counts = np.bincount(rows, minlength=m)
-    first = np.cumsum(counts) - counts
-    return cols[order][first[:, None] + np.arange(k)]
+    rows, cols = _candidates(sims, k)
+    return _first_k(rows, cols, sims[rows, cols], sims.shape[0], k)
 
 
 # Similarities held at once by cosine_top_k when no block size is given.
 BLOCK_SIMS = 1 << 20
+
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _rank_block(Qb: np.ndarray, G: np.ndarray, k: int, self_offset: int | None,
+                approx: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """``top_k`` of the einsum similarities of ``Qb`` against ``G``, screened by BLAS.
+
+    With ``self_offset``, ``Qb[r]`` never ranks ``G[self_offset + r]``.
+    ``approx`` and ``work`` are ``len(Qb) x len(G)`` buffers it overwrites
+    (see ``_candidates`` for ``work``).
+    """
+    (m, d), n_g = Qb.shape, G.shape[0]
+    # Higham's bound gamma_d on the rounding error of a d-term dot product
+    gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
+    # BLAS only screens: its rounding depends on the block shape and kernel
+    # tiling, so exact duplicates can get different values and it cannot
+    # judge ties.  It is within gamma_d of the exact cosine, as is einsum,
+    # so every column einsum ranks in the top k is at least the k-th BLAS
+    # value minus 2 gamma_d; the margin of 4 gamma_d leaves room for rows of
+    # norm slightly above 1.
+    np.matmul(Qb, G.T, out=approx)
+    if self_offset is not None:
+        approx[np.arange(m), np.arange(self_offset, self_offset + m)] = -np.inf
+    rows, cols = _candidates(approx, k, 4 * gamma, work)
+    if len(rows) * d > m * n_g:
+        # ties flood the candidate set: gathering their rows would take more
+        # memory than the dense block
+        sims = np.einsum("id,jd->ij", Qb, G)[rows, cols]
+    else:
+        # on C-ordered rows this rounds exactly as the dense einsum does
+        sims = np.einsum("id,id->i", Qb[rows], G[cols])
+    if self_offset is not None:
+        sims[rows + self_offset == cols] = -np.inf
+    return _first_k(rows, cols, sims, m, k)
 
 
 def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = False,
                  block_rows: int | None = None):
     """Yield ``(start, top)`` per block of rows of ``Q``, ranking the rows of ``G``.
 
-    ``Q`` and ``G`` hold unit rows; ``top[r]`` lists the ``k`` rows of ``G``
-    most cosine-similar to ``Q[start + r]``, best first, ties to the lower
-    index.  With ``exclude_self``, row i of ``Q`` never ranks row i of ``G``.
-    Blocks have ``block_rows`` rows (default: about ``BLOCK_SIMS``
-    similarities), so no ``len(Q) x len(G)`` array is ever built.
+    ``Q`` and ``G`` hold rows of norm at most 1 (``l2_normalize`` output);
+    ``top[r]`` lists the ``k`` rows of ``G`` most cosine-similar to
+    ``Q[start + r]``, best first.  Similarity is the *computed* cosine,
+    ``np.einsum("id,jd->ij")`` of the C-ordered rows, not the exact one:
+    rows that tie in exact arithmetic but round apart are ordered by their
+    computed values, and only computed ties go to the lower index.  Each
+    similarity depends on its two rows alone, so no block size or query
+    count can change a ranking.  With ``exclude_self``, row i of ``Q``
+    never ranks row i of ``G``.  Blocks have ``block_rows`` rows (default:
+    about ``BLOCK_SIMS`` similarities), so no ``len(Q) x len(G)`` array is
+    ever built.
     """
+    # einsum rounds differently on Fortran-ordered rows
+    Q = np.ascontiguousarray(Q)
+    G = np.ascontiguousarray(G)
     n_q, n_g = Q.shape[0], G.shape[0]
     step = block_rows or max(1, BLOCK_SIMS // n_g)
+    # every block reuses these: fresh ones would cost a page fault per page
+    # (a third of the ranking time at 5000 x 5000)
+    approx = np.empty((min(step, n_q), n_g))
+    work = np.empty_like(approx) if k > 1 else None  # k = 1 takes a max, not a partition
     for start in range(0, n_q, step):
-        stop = min(start + step, n_q)
-        # einsum, not BLAS matmul: each similarity depends on its two rows
-        # alone, so identical candidates tie exactly and no block size or
-        # query count can change a ranking
-        sims = np.einsum("id,jd->ij", Q[start:stop], G)
-        if exclude_self:
-            sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        top = top_k(sims, k)
-        del sims  # free this block before the next one is computed
-        yield start, top
-
-
-def pairwise_cosine(M) -> np.ndarray:
-    """All-pairs cosine similarity between the rows of ``M``.
-
-    Returns an exactly symmetric N x N matrix clamped to [-1, 1]; the
-    diagonal is 1 for nonzero rows and 0 for zero rows.
-    """
-    A = l2_normalize(M, axis="rows")
-    S = A @ A.T
-    S = 0.5 * (S + S.T)
-    np.clip(S, -1.0, 1.0, out=S)
-    np.fill_diagonal(S, np.where(row_norms(as_matrix(M)) > 0.0, 1.0, 0.0))
-    return S
+        m = min(step, n_q - start)
+        self_offset = start if exclude_self else None
+        block_work = None if work is None else work[:m]
+        yield start, _rank_block(Q[start : start + m], G, k, self_offset, approx[:m], block_work)

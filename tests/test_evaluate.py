@@ -16,6 +16,7 @@ from coss.evaluate import (
     linear_probe,
     recall_at_k,
 )
+from coss.knn import build_index
 from coss.losses import loss_co
 
 from conftest import brute_cosine, distinct_directions
@@ -302,6 +303,23 @@ class TestRecallAtK:
         finally:
             tracemalloc.stop()
         assert peak < n * n  # an eighth of one dense n x n float64 array
+
+
+def test_fortran_order_never_changes_a_ranking():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        # near-duplicate rows, whose order is decided in the last bits
+        base = rng.normal(size=(4, 12))
+        X = base[rng.integers(0, 4, size=60)] + rng.normal(size=(60, 12)) * 1e-13
+        F = np.asfortranarray(X)
+        labels = rng.integers(0, 3, size=60)
+        assert build_index(F, 8) == build_index(X, 8)
+        np.testing.assert_array_equal(
+            knn_predict(F[:40], labels[:40], F[40:], 5), knn_predict(X[:40], labels[:40], X[40:], 5)
+        )
+        assert recall_at_k(F, F, labels, labels, 1, exclude_self=True) == recall_at_k(
+            X, X, labels, labels, 1, exclude_self=True
+        )
 
 
 class TestAlignmentDiagnostics:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_topk_neighbors, distinct_directions
+from coss import io
 from coss.knn import NeighborIndex, build_index, sample_neighbors
 
 
@@ -116,7 +117,5 @@ class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         idx = build_index(np.random.default_rng(1).normal(size=(9, 5)), pool=4)
         path = tmp_path / "nn.cssk"
-        from coss.knn import load_index, save_index
-
-        save_index(idx, path)
-        assert load_index(path) == idx
+        io.write_index(path, idx)
+        assert io.read_index(path) == idx

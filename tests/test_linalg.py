@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coss.linalg import cosine_top_k, l2_normalize, mean_rowwise_dot, pairwise_cosine, top_k
+from coss.linalg import cosine_top_k, l2_normalize, mean_rowwise_dot, top_k
 
 # zero entries are fine; magnitudes inside (0, eps) are not a meaningful
 # embedding scale and break the eps-guard semantics
@@ -54,6 +56,10 @@ class TestL2Normalize:
         twice = l2_normalize(once)
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
+    def test_fortran_order_rounds_like_c_order(self):
+        M = np.random.default_rng(3).normal(size=(40, 17))
+        np.testing.assert_array_equal(l2_normalize(np.asfortranarray(M)), l2_normalize(M))
+
     @given(positive_matrices)
     def test_unit_norms(self, M):
         out = l2_normalize(M, axis="rows")
@@ -83,42 +89,6 @@ class TestMeanRowwiseDot:
         assert mean_rowwise_dot(S, T) == pytest.approx(mean_rowwise_dot(T, S), abs=1e-12)
 
 
-class TestPairwiseCosine:
-    def test_orthonormal(self):
-        np.testing.assert_array_equal(
-            pairwise_cosine([[1.0, 0.0], [0.0, 1.0]]), np.eye(2)
-        )
-
-    def test_duplicate_rows(self):
-        np.testing.assert_allclose(
-            pairwise_cosine([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 2)), atol=1e-15
-        )
-
-    def test_45_degrees(self):
-        S = pairwise_cosine([[1.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_allclose(
-            S, [[1.0, 0.70710678], [0.70710678, 1.0]], atol=1e-4
-        )
-
-    @given(positive_matrices)
-    def test_row_scale_invariant(self, M):
-        scales = np.linspace(0.5, 3.0, M.shape[0])[:, None]
-        np.testing.assert_allclose(
-            pairwise_cosine(M * scales), pairwise_cosine(M), atol=1e-12
-        )
-
-    @given(finite_matrices)
-    def test_symmetric_and_bounded(self, M):
-        S = pairwise_cosine(M)
-        np.testing.assert_array_equal(S, S.T)
-        assert S.min() >= -1.0 and S.max() <= 1.0
-
-    def test_zero_row_diagonal(self):
-        S = pairwise_cosine([[0.0, 0.0], [1.0, 2.0]])
-        assert S[0, 0] == 0.0
-        assert S[1, 1] == 1.0
-
-
 # few distinct values, so rows are full of exact ties; -inf and -0.0 included
 tied_blocks = arrays(
     np.float64,
@@ -142,23 +112,24 @@ class TestTopK:
         np.testing.assert_array_equal(top_k(sims, 1), [[1]])
 
 
-class TestCosineTopK:
-    def ranked(self, Q, G, k, **kwargs):
-        return np.concatenate([top for _, top in cosine_top_k(Q, G, k, **kwargs)])
+def ranked(Q, G, k, **kwargs):
+    return np.concatenate([top for _, top in cosine_top_k(Q, G, k, **kwargs)])
 
+
+class TestCosineTopK:
     def test_block_rows_never_change_the_ranking(self):
         rng = np.random.default_rng(7)
         base = l2_normalize(rng.integers(-4, 5, size=(6, 3)).astype(float))
         Q = base[rng.integers(0, 6, size=40)]
         G = base[rng.integers(0, 6, size=25)]
-        dense = self.ranked(Q, G, 5, block_rows=len(Q))
+        dense = ranked(Q, G, 5, block_rows=len(Q))
         for block_rows in (1, 2, 3, 7, 39):
-            np.testing.assert_array_equal(self.ranked(Q, G, 5, block_rows=block_rows), dense)
+            np.testing.assert_array_equal(ranked(Q, G, 5, block_rows=block_rows), dense)
 
     def test_exclude_self_bars_the_diagonal(self):
         E = l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_array_equal(
-            self.ranked(E, E, 2, exclude_self=True, block_rows=2), [[1, 2], [0, 2], [0, 1]]
+            ranked(E, E, 2, exclude_self=True, block_rows=2), [[1, 2], [0, 2], [0, 1]]
         )
 
     def test_default_blocks_hold_about_block_sims(self, monkeypatch):
@@ -168,6 +139,84 @@ class TestCosineTopK:
         Q = l2_normalize(np.random.default_rng(8).normal(size=(25, 2)))
         starts = [start for start, _ in cosine_top_k(Q, Q[:10], 1)]  # 3 rows of 10
         assert starts == list(range(0, 25, 3))
+
+
+def dense_ranking(Q, G, k, exclude_self=False):
+    """The definition cosine_top_k must equal: one dense einsum, one stable argsort."""
+    sims = np.einsum("id,jd->ij", Q, G)
+    if exclude_self:
+        np.fill_diagonal(sims, -np.inf)
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+
+
+class TestBlasScreen:
+    """The BLAS screen keeps every row einsum ranks, so the output is the einsum ranking."""
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("d", [1, 3, 17, 256])
+    def test_equals_the_dense_einsum_ranking(self, d, exclude_self):
+        rng = np.random.default_rng(d)
+        for _ in range(4):
+            # small integer rows, many of them exact copies, some parallel
+            base = rng.integers(-2, 3, size=(int(rng.integers(2, 12)), d)).astype(float)
+            X = base[rng.integers(0, len(base), size=60)] * rng.integers(1, 3, size=(60, 1))
+            E = l2_normalize(X)
+            G = E if exclude_self else E[rng.permutation(60)[:45]]
+            k = int(rng.integers(1, 21))
+            expected = dense_ranking(E, G, k, exclude_self)
+            for block_rows in (1, 7, 32, 60):
+                np.testing.assert_array_equal(
+                    ranked(E, G, k, exclude_self=exclude_self, block_rows=block_rows), expected
+                )
+            # a full ranking puts the barred self pair last, as the dense one does
+            n_g = len(G)
+            np.testing.assert_array_equal(
+                ranked(E, G, n_g, exclude_self=exclude_self, block_rows=7),
+                dense_ranking(E, G, n_g, exclude_self),
+            )
+            # Fortran-ordered rows are ranked as their C-ordered copies
+            np.testing.assert_array_equal(
+                ranked(np.asfortranarray(E), np.asfortranarray(G), k, exclude_self=exclude_self),
+                expected,
+            )
+
+    def test_all_duplicate_rows_stay_within_the_dense_memory(self):
+        rng = np.random.default_rng(4)
+        # copies of 3 vectors: every row ties with a third of the gallery, and
+        # gathering those candidates' 16-D rows would outweigh the dense block
+        E = l2_normalize(rng.normal(size=(3, 16))[rng.integers(0, 3, size=1000)])
+        expected = dense_ranking(E, E, 16, exclude_self=True)
+
+        tracemalloc.start()
+        try:
+            # the dense path: one einsum block and one top_k at a time
+            for start in range(0, len(E), 256):
+                sims = np.einsum("id,jd->ij", E[start : start + 256], E)
+                sims[np.arange(len(sims)), np.arange(start, start + len(sims))] = -np.inf
+                top_k(sims, 16)
+                del sims
+            dense_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = ranked(E, E, 16, exclude_self=True, block_rows=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        np.testing.assert_array_equal(got, expected)
+        assert peak <= 1.5 * dense_peak, (peak, dense_peak)
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 17, 64, 256])
+    def test_gathered_einsum_rounds_like_the_dense_one(self, d):
+        # the screen recomputes candidates one pair at a time and relies on
+        # this to equal the dense block bit for bit
+        rng = np.random.default_rng(d)
+        Q = l2_normalize(rng.normal(size=(30, d)))
+        G = l2_normalize(rng.normal(size=(40, d)))
+        rows = rng.integers(0, 30, size=500)
+        cols = rng.integers(0, 40, size=500)
+        np.testing.assert_array_equal(
+            np.einsum("id,id->i", Q[rows], G[cols]), np.einsum("id,jd->ij", Q, G)[rows, cols]
+        )
 
 
 def test_transpose_involution():
