@@ -19,18 +19,8 @@ from .evaluate import (
     recall_at_k,
 )
 from .knn import NeighborIndex, build_index, sample_neighbors
-from .linalg import l2_normalize, mean_rowwise_dot
-from .losses import (
-    BnParams,
-    LossBreakdown,
-    grad_co,
-    grad_coss,
-    grad_ss,
-    loss_bn,
-    loss_co,
-    loss_coss,
-    loss_ss,
-)
+from .linalg import l2_normalize
+from .losses import BnParams, grad_co, grad_ss, loss_bn, loss_co, loss_ss, objective
 from .models import (
     MlpModel,
     MlpSpec,

@@ -11,6 +11,7 @@ import configparser
 import hashlib
 import io as _stdio
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -48,6 +49,10 @@ class DistillConfig:
 
 def validate_config(cfg: DistillConfig) -> None:
     """Raise ConfigError naming the first violated invariant."""
+    # NaN passes every comparison below, and training checks no value again
+    for key, name in _DISTILL_KEYS.items():
+        if name not in _INT_FIELDS | _STR_FIELDS and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{key} must be finite")
     if cfg.lam < 0:
         raise ConfigError("lambda ≥ 0")
     if cfg.beta <= 0:

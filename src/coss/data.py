@@ -80,13 +80,7 @@ def epoch_batches(n: int, b: int, rng: np.random.Generator) -> list[np.ndarray]:
 def compose_batch(anchors, index: NeighborIndex, k: int, rng: np.random.Generator) -> BatchPlan:
     """Append k sampled neighbours per anchor; k=0 reproduces the plain batch."""
     anchors = np.asarray(anchors, dtype=np.int64)
-    if k > index.pool:
-        raise ValueError("k exceeds pool")
-    if k == 0:
-        return BatchPlan(anchors, anchors.copy())
-    picks = np.array(
-        [sample_neighbors(index, int(a), k, rng) for a in anchors], dtype=np.int64
-    )
+    picks = sample_neighbors(index, anchors, k, rng)
     return BatchPlan(anchors, np.concatenate([anchors, picks.ravel()]))
 
 

@@ -19,14 +19,9 @@ from .config import DistillConfig, config_hash, validate_config
 from .data import Dataset, augment, compose_batch, epoch_batches
 from .errors import ConfigError, NumericalError
 from .knn import NeighborIndex
-from .losses import (
-    BnParams,
-    grad_co,
-    grad_ss,
-    loss_bn,
-    loss_co,
-    loss_ss,
-)
+from .losses import BnParams, objective
+# not called here; perfbench --trace 1 wraps these names on this module
+from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
 from .models import MlpModel, SgdState, backward, forward, init_model, init_projection_head, sgd_step
 
 
@@ -84,15 +79,6 @@ def _resolve_teacher(teacher, n_samples: int, cfg: DistillConfig):
     return _DumpTeacher(emb)
 
 
-def _variant_weights(cfg: DistillConfig) -> tuple[bool, float]:
-    """(row term active, effective space weight) for the gradient path."""
-    if cfg.loss_variant == "co_only":
-        return True, 0.0
-    if cfg.loss_variant == "ss_only":
-        return False, 1.0
-    return True, cfg.lam
-
-
 def distill(
     config: DistillConfig,
     dataset: Dataset,
@@ -136,7 +122,6 @@ def distill(
         params = params + [bn.gamma, bn.beta_shift]
     opt = SgdState(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
-    use_co, lam_eff = _variant_weights(config)
     log = RunLog(config=config, steps_per_epoch=-(-n // config.batch_size))
     t0 = time.perf_counter()
     global_step = 0
@@ -155,24 +140,7 @@ def distill(
             if not (np.isfinite(A_s).all() and np.isfinite(A_t).all()):
                 raise NumericalError(f"non-finite embeddings at step {global_step}")
 
-            l_co = loss_co(A_s, A_t)
-            l_ss = loss_ss(A_s, A_t)
-            bn_grads = []
-            if config.loss_variant == "bn":
-                l_total, G, d_gamma, d_beta = loss_bn(A_s, A_t, bn)
-                bn_grads = [d_gamma, d_beta]
-            else:
-                if use_co:
-                    G = grad_co(A_s, A_t)
-                    if lam_eff != 0.0:
-                        G = G + lam_eff * grad_ss(A_s, A_t)
-                        l_total = config.beta * (l_co + lam_eff * l_ss)
-                    else:
-                        l_total = config.beta * l_co
-                else:
-                    G = grad_ss(A_s, A_t)
-                    l_total = config.beta * l_ss
-                G = config.beta * G
+            l_co, l_ss, l_total, G, bn_grads = objective(A_s, A_t, config, bn)
 
             if not np.isfinite(l_total):
                 raise NumericalError(f"non-finite loss at step {global_step}")

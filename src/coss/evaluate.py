@@ -68,6 +68,10 @@ def linear_probe(
 
     Deterministic for a fixed seed; returns test accuracy.
     """
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError("probe lr must be finite and > 0")
+    if epochs < 0:
+        raise ValueError("probe epochs ≥ 0")
     X = as_matrix(train_emb, "train_emb")
     y = np.asarray(train_labels, dtype=np.int64)
     classes = np.unique(y)

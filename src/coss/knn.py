@@ -69,14 +69,22 @@ def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
     return NeighborIndex(n=n, pool=pool, neighbors=np.concatenate([top for _, top in blocks]))
 
 
-def sample_neighbors(index: NeighborIndex, i: int, k: int, rng: np.random.Generator) -> list[int]:
-    """Draw ``k`` distinct neighbours of sample ``i``, uniformly without replacement."""
+def sample_neighbors(index: NeighborIndex, anchors, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``k`` distinct neighbours of every anchor, uniformly without replacement.
+
+    Row r of the ``(len(anchors), k)`` int64 result holds the picks for
+    ``anchors[r]``.  The draw takes the generator through exactly the
+    states that ``rng.permutation(index.pool)[:k]`` once per anchor, in
+    anchor order, would: ``Generator.permuted`` shuffles each row as
+    ``permutation`` does.  k = 0 draws nothing.
+    """
+    anchors = np.asarray(anchors, dtype=np.int64)
     if k < 0:
         raise ValueError("k ≥ 0")
     if k > index.pool:
         raise ValueError("k exceeds pool")
     if k == 0:
-        return []
-    row = index.neighbors[i]
-    pick = rng.permutation(index.pool)[:k]
-    return [int(row[j]) for j in pick]
+        return np.empty((len(anchors), 0), dtype=np.int64)
+    slots = np.broadcast_to(np.arange(index.pool), (len(anchors), index.pool))
+    pick = rng.permuted(slots, axis=1)[:, :k]
+    return index.neighbors[anchors[:, None], pick]

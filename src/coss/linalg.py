@@ -51,15 +51,6 @@ def l2_normalize(M, axis: str = "rows", eps: float = DEFAULT_EPS) -> np.ndarray:
     return A / np.maximum(norms, eps)
 
 
-def mean_rowwise_dot(S, T) -> float:
-    """Mean over rows of the row-wise dot product ``S_i . T_i``."""
-    A = as_matrix(S, "S")
-    B = as_matrix(T, "T")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
-    return float(np.mean(np.einsum("ij,ij->i", A, B)))
-
-
 def _candidates(sims: np.ndarray, k: int, margin: float = 0.0, work: np.ndarray | None = None):
     """Row and column of every entry at least its row's k-th largest minus ``margin``.
 

@@ -9,7 +9,9 @@ transposed embedding matrices.  The combined loss is
 Gradients are taken with respect to the student matrix only; the teacher
 branch never receives one.  A batch-normalisation variant that matches
 the teacher's unnormalised embeddings via a per-dimension affine map is
-provided alongside.
+provided alongside.  ``objective`` is what training evaluates: every term
+and the configured gradient in one pass over already validated inputs.
+The per-term functions validate their inputs and are its references.
 """
 
 from __future__ import annotations
@@ -18,18 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, l2_normalize, mean_rowwise_dot
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One evaluation of the combined objective, term by term."""
-
-    l_co: float
-    l_ss: float
-    l_total: float
-    lam: float
-    beta: float
+from .linalg import DEFAULT_EPS, as_matrix, l2_normalize
 
 
 def _check_pair(A_s, A_t):
@@ -43,7 +34,8 @@ def _check_pair(A_s, A_t):
 def loss_co(A_s, A_t, eps: float = DEFAULT_EPS) -> float:
     """Negative mean cosine between matching rows of the two matrices."""
     S, T = _check_pair(A_s, A_t)
-    return -mean_rowwise_dot(l2_normalize(S, "rows", eps), l2_normalize(T, "rows", eps))
+    cos = np.einsum("ij,ij->i", l2_normalize(S, "rows", eps), l2_normalize(T, "rows", eps))
+    return -float(np.mean(cos))
 
 
 def loss_ss(A_s, A_t, eps: float = DEFAULT_EPS) -> float:
@@ -52,61 +44,44 @@ def loss_ss(A_s, A_t, eps: float = DEFAULT_EPS) -> float:
     return loss_co(S.T, T.T, eps)
 
 
-def loss_coss(A_s, A_t, lam: float = 1.0, beta: float = 1.0, eps: float = DEFAULT_EPS) -> LossBreakdown:
-    """Evaluate both terms and their weighted combination."""
-    if lam < 0:
-        raise ValueError("lambda ≥ 0")
-    if beta <= 0:
-        raise ValueError("beta > 0")
-    l_co = loss_co(A_s, A_t, eps)
-    l_ss = loss_ss(A_s, A_t, eps)
-    # lam == 0 goes through the same arithmetic as a row-term-only run so
-    # the two stay bit-identical under a shared seed
-    if lam == 0.0:
-        total = beta * l_co
-    else:
-        total = beta * (l_co + lam * l_ss)
-    return LossBreakdown(l_co=l_co, l_ss=l_ss, l_total=total, lam=lam, beta=beta)
+def _row_cosines(S: np.ndarray, T: np.ndarray, eps: float):
+    """Row norms of S, both row-normalised matrices and each row pair's cosine.
 
-
-def _neg_cosine_row_grad(S: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise gradient of -cosine(S_i, T_i) with respect to S (unaveraged).
-
-    Rows of S whose norm is under the guard behave as S_i . T_hat / eps,
-    whose exact gradient is -T_hat / eps.
+    Rounds exactly as ``l2_normalize`` and the einsum of ``loss_co`` do on
+    the same C-ordered rows.
     """
     ns = np.sqrt(np.einsum("ij,ij->i", S, S))
-    nt = np.sqrt(np.einsum("ij,ij->i", T, T))
+    S_hat = S / np.maximum(ns, eps)[:, None]
+    T_hat = T / np.maximum(np.sqrt(np.einsum("ij,ij->i", T, T)), eps)[:, None]
+    return ns, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
+
+
+def _neg_cosine_row_grad(ns, S_hat, T_hat, cos, eps: float) -> np.ndarray:
+    """Row-wise gradient of -cosine(S_i, T_i) with respect to S (unaveraged).
+
+    Takes ``_row_cosines``'s output.  Rows of S whose norm is under the
+    guard behave as S_i . T_hat / eps, whose exact gradient is -T_hat / eps.
+    """
     dns = np.maximum(ns, eps)[:, None]
-    T_hat = T / np.maximum(nt, eps)[:, None]
-    S_hat = S / dns
-    cos = np.einsum("ij,ij->i", S_hat, T_hat)[:, None]
-    proj = np.where((ns > eps)[:, None], cos * S_hat, 0.0)
+    proj = np.where((ns > eps)[:, None], cos[:, None] * S_hat, 0.0)
     return -(T_hat - proj) / dns
+
+
+def _space_grad(S: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
+    # on the transposed views: C-ordered copies would round differently
+    # and move the trained weights
+    return _neg_cosine_row_grad(*_row_cosines(S.T, T.T, eps), eps).T / S.shape[1]
 
 
 def grad_co(A_s, A_t, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Gradient of the row term with respect to the student matrix."""
     S, T = _check_pair(A_s, A_t)
-    return _neg_cosine_row_grad(S, T, eps) / S.shape[0]
+    return _neg_cosine_row_grad(*_row_cosines(S, T, eps), eps) / S.shape[0]
 
 
 def grad_ss(A_s, A_t, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Gradient of the column term with respect to the student matrix."""
-    S, T = _check_pair(A_s, A_t)
-    return _neg_cosine_row_grad(S.T, T.T, eps).T / S.shape[1]
-
-
-def grad_coss(A_s, A_t, lam: float = 1.0, beta: float = 1.0, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Gradient of the combined objective with respect to the student matrix."""
-    if lam < 0:
-        raise ValueError("lambda ≥ 0")
-    if beta <= 0:
-        raise ValueError("beta > 0")
-    G = grad_co(A_s, A_t, eps)
-    if lam != 0.0:
-        G = G + lam * grad_ss(A_s, A_t, eps)
-    return beta * G
+    return _space_grad(*_check_pair(A_s, A_t), eps)
 
 
 @dataclass
@@ -136,6 +111,11 @@ def loss_bn(X_s, X_t, p: BnParams):
     plus gradients for the student input and both affine parameters.
     """
     S, T = _check_pair(X_s, X_t)
+    return _bn_terms(S, T, p)
+
+
+def _bn_terms(S: np.ndarray, T: np.ndarray, p: BnParams):
+    """``loss_bn`` on validated matrices of one shape."""
     b, d = S.shape
     if b < 2:
         raise ValueError("batch too small for BN")
@@ -159,3 +139,36 @@ def loss_bn(X_s, X_t, p: BnParams):
     var_term = np.where(std > p.eps, X_hat * mean_gx, 0.0)
     dX = (dX_hat - mean_g - var_term) / sigma
     return loss, dX, dgamma, dbeta_shift
+
+
+def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None):
+    """Both cosine terms, the configured loss and its gradient for one batch.
+
+    ``A_s`` and ``A_t`` are finite, C-ordered float64 matrices of one
+    shape; nothing here checks that.  ``cfg`` supplies ``loss_variant``,
+    ``lam`` and ``beta``; ``bn`` is the affine map of the ``bn`` variant.
+    Returns ``(l_co, l_ss, l_total, G, bn_grads)``: both terms (always
+    logged), the configured loss, its gradient with respect to ``A_s`` and,
+    for ``bn``, the gradients of ``bn.gamma`` and ``bn.beta_shift``.  Every
+    value is bit-identical to the per-term functions' (``loss_co``,
+    ``loss_ss``, ``grad_co``, ``grad_ss``, ``loss_bn``).
+    """
+    row = _row_cosines(A_s, A_t, DEFAULT_EPS)
+    l_co = -float(np.mean(row[3]))
+    # loss_ss normalises C-ordered copies of the transposes, which round
+    # differently from the views the gradient uses
+    cols = _row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T), DEFAULT_EPS)
+    l_ss = -float(np.mean(cols[3]))
+    if cfg.loss_variant == "bn":
+        l_total, G, d_gamma, d_beta = _bn_terms(A_s, A_t, bn)
+        return l_co, l_ss, l_total, G, [d_gamma, d_beta]
+    if cfg.loss_variant == "ss_only":
+        G, l_total = _space_grad(A_s, A_t, DEFAULT_EPS), l_ss
+    else:
+        G, l_total = _neg_cosine_row_grad(*row, DEFAULT_EPS) / A_s.shape[0], l_co
+        # lam == 0 goes through the same arithmetic as co_only, so the two
+        # stay bit-identical under a shared seed
+        if cfg.loss_variant == "coss" and cfg.lam != 0.0:
+            G = G + cfg.lam * _space_grad(A_s, A_t, DEFAULT_EPS)
+            l_total = l_co + cfg.lam * l_ss
+    return l_co, l_ss, cfg.beta * l_total, cfg.beta * G, []

@@ -35,15 +35,7 @@ from coss.io import (
     write_model,
 )
 from coss.knn import build_index
-from coss.losses import (
-    BnParams,
-    grad_co,
-    grad_ss,
-    loss_bn,
-    loss_co,
-    loss_coss,
-    loss_ss,
-)
+from coss.losses import BnParams, grad_ss, loss_bn, loss_co, loss_ss, objective
 from coss.models import MlpSpec, backward, forward, init_model
 
 from conftest import (
@@ -82,18 +74,14 @@ def test_1_gradient_oracle_over_random_students():
         batch = int(rng.integers(3, 9))
         X = rng.normal(size=(batch, dims[0]))
         T = rng.normal(size=(batch, dims[-1]))
-        lam = float(rng.uniform(0.0, 2.0))
-        beta = float(rng.uniform(0.5, 2.0))
+        cfg = DistillConfig(lam=float(rng.uniform(0.0, 2.0)), beta=float(rng.uniform(0.5, 2.0)))
 
         S, cache = forward(student, X)
-        G = beta * grad_co(S, T)
-        if lam != 0.0:
-            G = G + beta * lam * grad_ss(S, T)
-        analytic, _ = backward(student, cache, G)
+        analytic, _ = backward(student, cache, objective(S, T, cfg)[3])
 
         def total(params=student.parameters()):
             out, _ = forward(student, X)
-            return loss_coss(out, T, lam=lam, beta=beta).l_total
+            return objective(out, T, cfg)[2]
 
         h = 1e-6
         for p, g in zip(student.parameters(), analytic):

@@ -175,6 +175,17 @@ class TestDistill:
         assert code == 2
         assert "lambda ≥ 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["lambda", "beta", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps"]
+    )
+    def test_non_finite_config_value_is_a_usage_error(self, workspace, capsys, key, value):
+        workspace["config"].write_text(f"[distill]\n{key} = {value}\n", encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_rerun_is_byte_identical(self, workspace):
         _, first = run_distill(workspace, "run_a")
         _, second = run_distill(workspace, "run_b")
@@ -221,6 +232,27 @@ class TestEval:
             )
             assert code == 0
             assert read_report(report)["suite"] == suite
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-1"), ("--epochs", "-1")],
+    )
+    def test_bad_probe_arguments_are_data_errors(self, workspace, capsys, flag, value):
+        student = self.trained_student(workspace)
+        report = workspace["root"] / "probe.tsv"
+        code = main(
+            [
+                "eval",
+                "--student", str(student),
+                "--data", str(workspace["data"]),
+                "--suite", "probe",
+                "--out", str(report),
+                flag, value,
+            ]
+        )
+        assert code == 3
+        assert "probe" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_align_of_teacher_with_itself_is_perfect(self, workspace):
         report = workspace["root"] / "align.tsv"

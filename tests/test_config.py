@@ -67,6 +67,16 @@ def test_validation_names_the_violated_invariant(overrides, message):
         validate_config(DistillConfig(**overrides))
 
 
+FLOAT_KEYS = ("lambda", "beta", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_values_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config_text(f"[distill]\n{key} = {value}\n")
+
+
 class TestParse:
     def test_empty_text_yields_defaults(self):
         assert parse_config_text("") == DistillConfig()

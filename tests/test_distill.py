@@ -1,10 +1,12 @@
 """Training-loop behaviour: determinism, logging, teacher freezing, ablations."""
 
-import importlib
+import hashlib
 
 import numpy as np
 import pytest
 
+import coss.losses as losses_mod
+from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.config import DistillConfig, config_hash
 from coss.data import Dataset
 from coss.distill import ablate_components, ablate_lambda, distill
@@ -12,8 +14,6 @@ from coss.errors import ConfigError, NumericalError
 from coss.io import encode_model
 from coss.knn import build_index
 from coss.models import MlpSpec, forward, init_model
-
-distill_mod = importlib.import_module("coss.distill")
 
 
 def make_setup(n=24, input_dim=6, d_t=5, seed=0, pool=4):
@@ -93,13 +93,13 @@ class TestTrainingLoop:
 
     def test_co_only_never_computes_the_space_gradient(self, monkeypatch):
         calls = []
-        real = distill_mod.grad_ss
+        real = losses_mod._space_grad
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(distill_mod, "grad_ss", spy)
+        monkeypatch.setattr(losses_mod, "_space_grad", spy)
         ds, teacher, _, idx = make_setup()
         _, log = distill(small_config(loss_variant="co_only"), ds, teacher, idx)
         assert not calls
@@ -125,6 +125,37 @@ class TestTrainingLoop:
         _, log = distill(cfg, ds, teacher, idx)
         assert all(np.isfinite(rec.l_total) for rec in log.steps)
         assert log.steps[-1].l_total < log.steps[0].l_total
+
+
+# SHA-256 of the student weights and of the (l_co, l_ss, l_total) log of a
+# 3-epoch run of the bundled benchmark, recorded before the training step
+# was fused into losses.objective and the neighbour draw into one call.
+# A change here is a change of results: declare it, or find the bug.
+PINNED_RUNS = {
+    "coss": ("909a3a007122fe7101f4f585c1202fd79e941fff1a223f6eb164e5ed40ed05c1",
+             "9bd2b372b201c4d04360b49bb261673df91ab63225f368052fec9cac9e17ad4f"),
+    "co_only": ("3da6207b4757f6db3022e65d57d74defda0fc0e91dfc0f6466349979ba7fdebf",
+                "405e329c2cb5b2189f5ec458ccfde82cff13a5ffd344deef034cc1361fa5539c"),
+    "ss_only": ("67ddcd48e193f18670bcc6540857012829222027d8cd89fb7be6ff7c51b9296e",
+                "e7b79ebf803aba7e8220d7c5d443f91707dda36241a4cbb7a67a97d566a6c377"),
+    "bn": ("8357998b771007cf83761b1ff06038f3ba100f50c5c28f420c79cfbeb7b01dbc",
+           "8a5c68bb0cdcf4a9b8cd5c525d35e7b8d871828dcd9c557385ccaa1790f5ce8d"),
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_benchmark():
+    data, teacher = make_benchmark_dataset(), make_benchmark_teacher()
+    return data.without_labels(), teacher, build_index(forward(teacher, data.inputs)[0], pool=16)
+
+
+@pytest.mark.parametrize("variant", PINNED_RUNS)
+def test_bundled_runs_keep_their_bytes(bundled_benchmark, variant):
+    data, teacher, index = bundled_benchmark
+    student, log = distill(benchmark_config(epochs=3, loss_variant=variant), data, teacher, index)
+    weights = hashlib.sha256(b"".join(p.tobytes() for p in student.parameters())).hexdigest()
+    losses = np.array([[r.l_co, r.l_ss, r.l_total] for r in log.steps])
+    assert (weights, hashlib.sha256(losses.tobytes()).hexdigest()) == PINNED_RUNS[variant]
 
 
 class TestProjectionHead:

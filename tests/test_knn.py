@@ -78,39 +78,71 @@ class TestNeighborIndexInvariants:
             NeighborIndex(n=3, pool=1, neighbors=[[5], [0], [0]])
 
 
+def per_anchor_draw(index, anchors, k, rng):
+    """The reference: one ``rng.permutation(pool)[:k]`` per anchor, in anchor order."""
+    picks = [index.neighbors[a][rng.permutation(index.pool)[:k]] for a in anchors]
+    return np.array(picks, dtype=np.int64).reshape(len(anchors), k)
+
+
 class TestSampleNeighbors:
     def setup_method(self):
         shifted = (np.arange(10)[:, None] + np.array([1, 2, 3])) % 10
         self.index = NeighborIndex(n=10, pool=3, neighbors=shifted)
 
     def test_full_pool_is_permutation(self):
-        got = sample_neighbors(self.index, 0, 3, np.random.default_rng(0))
-        assert sorted(got) == [1, 2, 3]
+        got = sample_neighbors(self.index, [0, 5], 3, np.random.default_rng(0))
+        assert got.shape == (2, 3) and got.dtype == np.int64
+        assert sorted(got[0]) == [1, 2, 3]
+        assert sorted(got[1]) == [6, 7, 8]
 
     def test_zero_draw(self):
-        assert sample_neighbors(self.index, 0, 0, np.random.default_rng(0)) == []
+        rng = np.random.default_rng(0)
+        got = sample_neighbors(self.index, [0, 1], 0, rng)
+        assert got.shape == (2, 0) and got.dtype == np.int64
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_seeded_determinism(self):
-        a = sample_neighbors(self.index, 4, 2, np.random.default_rng(99))
-        b = sample_neighbors(self.index, 4, 2, np.random.default_rng(99))
-        assert a == b
+        a = sample_neighbors(self.index, [4, 4, 9], 2, np.random.default_rng(99))
+        b = sample_neighbors(self.index, [4, 4, 9], 2, np.random.default_rng(99))
+        np.testing.assert_array_equal(a, b)
 
     def test_k_exceeds_pool(self):
         with pytest.raises(ValueError, match="k exceeds pool"):
-            sample_neighbors(self.index, 0, 4, np.random.default_rng(0))
+            sample_neighbors(self.index, [0], 4, np.random.default_rng(0))
 
     def test_uniform_membership_frequency(self):
-        rng = np.random.default_rng(123)
         draws = 6000
-        counts = {1: 0, 2: 0, 3: 0}
-        for _ in range(draws):
-            for j in sample_neighbors(self.index, 0, 2, rng):
-                counts[j] += 1
+        anchors = np.zeros(draws, dtype=np.int64)
+        got = sample_neighbors(self.index, anchors, 2, np.random.default_rng(123))
+        assert np.all(got[:, 0] != got[:, 1])
+        counts = np.bincount(got.ravel(), minlength=4)
         # expect k/pool = 2/3 per member; binomial 3-sigma band
         expect = draws * 2 / 3
         sigma = (draws * (2 / 3) * (1 / 3)) ** 0.5
-        for member, count in counts.items():
-            assert abs(count - expect) < 4 * sigma, (member, count)
+        for member in (1, 2, 3):
+            assert abs(counts[member] - expect) < 4 * sigma, (member, counts[member])
+
+    @pytest.mark.parametrize("pool", [1, 2, 16, 17, 300])
+    @pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 256])
+    def test_matches_per_anchor_permutations(self, pool, m):
+        # a NumPy whose Generator.permuted shuffles rows differently from
+        # permutation must fail here: training depends on the exact stream
+        n = pool + 5
+        neighbors = (np.arange(n)[:, None] + 1 + np.arange(pool)) % n
+        index = NeighborIndex(n=n, pool=pool, neighbors=neighbors)
+        setup = np.random.default_rng([pool, m])
+        anchors = setup.integers(0, n, size=m)
+        for k in sorted({1, pool // 2 or 1, pool}):
+            fast, slow = np.random.default_rng([pool, m, k]), np.random.default_rng([pool, m, k])
+            for rng in (fast, slow):
+                rng.random(dtype=np.float32)  # leaves half of a 64-bit draw buffered
+            np.testing.assert_array_equal(
+                sample_neighbors(index, anchors, k, fast), per_anchor_draw(index, anchors, k, slow)
+            )
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.random(dtype=np.float32) == slow.random(dtype=np.float32)
+            np.testing.assert_array_equal(fast.integers(2**62, size=3),
+                                          slow.integers(2**62, size=3))
 
 
 class TestRoundTrip:

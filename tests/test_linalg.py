@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coss.linalg import cosine_top_k, l2_normalize, mean_rowwise_dot, top_k
+from coss.linalg import cosine_top_k, l2_normalize, top_k
 
 # zero entries are fine; magnitudes inside (0, eps) are not a meaningful
 # embedding scale and break the eps-guard semantics
@@ -66,27 +66,6 @@ class TestL2Normalize:
         np.testing.assert_allclose(
             np.sqrt((out * out).sum(axis=1)), 1.0, atol=1e-12
         )
-
-
-class TestMeanRowwiseDot:
-    def test_identity_rows(self):
-        assert mean_rowwise_dot([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]) == 1.0
-
-    def test_orthogonal(self):
-        assert mean_rowwise_dot([[1.0, 0.0]], [[0.0, 1.0]]) == 0.0
-
-    def test_plain_dot(self):
-        assert mean_rowwise_dot([[0.6, 0.8]], [[1.0, 0.0]]) == pytest.approx(0.6, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            mean_rowwise_dot([[1.0, 2.0]], [[1.0], [2.0]])
-
-    @given(finite_matrices, st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_symmetric(self, S, seed):
-        T = np.random.default_rng(seed).normal(size=S.shape)
-        assert mean_rowwise_dot(S, T) == pytest.approx(mean_rowwise_dot(T, S), abs=1e-12)
 
 
 # few distinct values, so rows are full of exact ties; -inf and -0.0 included

@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_grad_close, brute_loss_co, brute_loss_ss, finite_diff
+from coss.config import DistillConfig, validate_config
+from coss.errors import ConfigError
 from coss.losses import (
     BnParams,
     grad_co,
-    grad_coss,
     grad_ss,
     loss_bn,
     loss_co,
-    loss_coss,
     loss_ss,
+    objective,
 )
 
 # entries bounded away from zero so no row or column can vanish
@@ -74,34 +75,38 @@ class TestLossSs:
         assert loss_ss(S, T) == pytest.approx(brute_loss_ss(S, T), abs=1e-12)
 
 
+def total(S, T, lam, beta):
+    return objective(np.asarray(S, dtype=np.float64), np.asarray(T, dtype=np.float64),
+                     DistillConfig(lam=lam, beta=beta))
+
+
 class TestLossCoss:
     def test_both_terms_at_minimum(self):
         A = np.random.default_rng(1).uniform(0.5, 2.0, size=(4, 4))
-        bd = loss_coss(A, A, lam=1.0, beta=1.0)
-        assert bd.l_total == pytest.approx(-2.0, abs=1e-12)
+        assert total(A, A, 1.0, 1.0)[2] == pytest.approx(-2.0, abs=1e-12)
 
     def test_lambda_zero_reduces_to_co(self):
         S, T = random_pair(7)
-        bd = loss_coss(S, T, lam=0.0, beta=3.0)
-        assert bd.l_total == 3.0 * bd.l_co
+        l_co, _, l_total, _, _ = total(S, T, 0.0, 3.0)
+        assert l_total == 3.0 * l_co
 
     def test_frozen_combination(self):
-        bd = loss_coss([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], lam=0.5, beta=2.0)
-        assert bd.l_total == pytest.approx(-1.8525410740083348, abs=1e-10)
+        l_total = total([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.5, 2.0)[2]
+        assert l_total == pytest.approx(-1.8525410740083348, abs=1e-10)
 
     def test_breakdown_invariant(self):
         S, T = random_pair(13)
-        bd = loss_coss(S, T, lam=0.7, beta=2.5)
-        assert bd.l_total == pytest.approx(bd.beta * (bd.l_co + bd.lam * bd.l_ss), abs=1e-12)
-        assert -1.0 <= bd.l_co <= 1.0
-        assert -1.0 <= bd.l_ss <= 1.0
+        l_co, l_ss, l_total, _, _ = total(S, T, 0.7, 2.5)
+        assert l_total == pytest.approx(2.5 * (l_co + 0.7 * l_ss), abs=1e-12)
+        assert -1.0 <= l_co <= 1.0
+        assert -1.0 <= l_ss <= 1.0
 
     def test_rejects_bad_weights(self):
-        S, T = random_pair(2)
-        with pytest.raises(ValueError, match="lambda"):
-            loss_coss(S, T, lam=-0.1)
-        with pytest.raises(ValueError, match="beta"):
-            loss_coss(S, T, beta=0.0)
+        # the weights are checked once, where a config enters the program
+        with pytest.raises(ConfigError, match="lambda"):
+            validate_config(DistillConfig(lam=-0.1))
+        with pytest.raises(ConfigError, match="beta"):
+            validate_config(DistillConfig(beta=0.0))
 
 
 class TestInvariances:
@@ -157,19 +162,18 @@ class TestGradCoss:
         rng = np.random.default_rng(seed)
         A_s, A_t = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         lam, beta = rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0)
-        analytic = grad_coss(A_s, A_t, lam, beta)
-        numeric = finite_diff(lambda X: loss_coss(X, A_t, lam, beta).l_total, A_s)
+        analytic = total(A_s, A_t, lam, beta)[3]
+        numeric = finite_diff(lambda X: total(X, A_t, lam, beta)[2], A_s)
         assert_grad_close(analytic, numeric, rtol=1e-6)
 
     def test_lambda_zero_isolates_row_term(self):
         S, T = random_pair(17)
-        np.testing.assert_array_equal(grad_coss(S, T, lam=0.0, beta=2.0), 2.0 * grad_co(S, T))
+        np.testing.assert_array_equal(total(S, T, 0.0, 2.0)[3], 2.0 * grad_co(S, T))
 
     def test_term_decomposition(self):
         S, T = random_pair(19)
-        total = grad_coss(S, T, lam=0.4, beta=1.5)
-        np.testing.assert_allclose(
-            total, 1.5 * (grad_co(S, T) + 0.4 * grad_ss(S, T)), atol=1e-15
+        np.testing.assert_array_equal(
+            total(S, T, 0.4, 1.5)[3], 1.5 * (grad_co(S, T) + 0.4 * grad_ss(S, T))
         )
 
     def test_guarded_zero_row_gradient(self):
@@ -252,3 +256,57 @@ class TestLossBn:
         loss, dX, dg, db = loss_bn(X_s, X_t, BnParams([0.0, 0.0], [0.0, 0.0]))
         np.testing.assert_array_equal(dX, 0.0)
         assert np.any(dg != 0.0)
+
+
+def per_term(S, T, cfg, bn):
+    """The training step's arithmetic spelled out with the validated per-term functions."""
+    l_co, l_ss = loss_co(S, T), loss_ss(S, T)
+    if cfg.loss_variant == "bn":
+        l_total, G, d_gamma, d_beta = loss_bn(S, T, bn)
+        return l_co, l_ss, l_total, G, [d_gamma, d_beta]
+    if cfg.loss_variant == "ss_only":
+        return l_co, l_ss, cfg.beta * l_ss, cfg.beta * grad_ss(S, T), []
+    if cfg.loss_variant == "coss" and cfg.lam != 0.0:
+        G = grad_co(S, T) + cfg.lam * grad_ss(S, T)
+        return l_co, l_ss, cfg.beta * (l_co + cfg.lam * l_ss), cfg.beta * G, []
+    return l_co, l_ss, cfg.beta * l_co, cfg.beta * grad_co(S, T), []
+
+
+def bits(values):
+    """The bytes of every float and array in ``values``, flattened."""
+    out = []
+    for v in values:
+        if isinstance(v, list):
+            out += bits(v)
+        else:
+            out.append(np.asarray(v, dtype=np.float64).tobytes())
+    return out
+
+
+OBJECTIVE_CONFIGS = {
+    "coss": dict(lam=0.7, beta=1.3),
+    "co_only": dict(loss_variant="co_only", lam=0.7, beta=1.3),
+    "ss_only": dict(loss_variant="ss_only", lam=0.7, beta=1.3),
+    "lam0": dict(lam=0.0, beta=1.3),
+    "bn": dict(loss_variant="bn", lam=0.7, beta=1.3, bn_eps=1e-5),
+}
+
+
+class TestObjective:
+    @pytest.mark.parametrize("variant", OBJECTIVE_CONFIGS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 40),
+        cols=st.integers(1, 17),
+        zero_rows=st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_term_functions_bitwise(self, variant, seed, rows, cols, zero_rows):
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 100.0, size=(rows, 1))
+        T = rng.normal(size=(rows, cols))
+        S[rng.choice(rows, size=min(zero_rows, rows - 1), replace=False)] = 0.0
+        cfg = DistillConfig(**OBJECTIVE_CONFIGS[variant])
+        bn = BnParams(rng.normal(size=cols), rng.normal(size=cols), eps=cfg.bn_eps)
+        got = objective(S, T, cfg, bn if variant == "bn" else None)
+        assert bits(got) == bits(per_term(S, T, cfg, bn))

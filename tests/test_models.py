@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coss.losses import grad_co, grad_ss, loss_coss
+from coss.config import DistillConfig
+from coss.losses import objective
 from coss.models import (
     Layer,
     MlpModel,
@@ -115,14 +116,14 @@ class TestBackward:
         teacher = init_model(MlpSpec((5, 6, 4), hidden_activation="tanh"), seed=9)
         X = rng.normal(size=(6, 5))
         T, _ = forward(teacher, X)
-        lam, beta = 0.7, 1.3
+        cfg = DistillConfig(lam=0.7, beta=1.3)
 
         def total_loss():
             S, _ = forward(student, X)
-            return loss_coss(S, T, lam=lam, beta=beta).l_total
+            return objective(S, T, cfg)[2]
 
         S, cache = forward(student, X)
-        G = beta * (grad_co(S, T) + lam * grad_ss(S, T))
+        G = objective(S, T, cfg)[3]
         analytic, _ = backward(student, cache, G)
 
         h = 1e-6
