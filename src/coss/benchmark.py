@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DistillConfig
 from .data import Dataset
-from .evaluate import knn_classify
+from .evaluate import holdout_knn_accuracy, holdout_split
 from .models import MlpModel, MlpSpec, forward, init_model
 
 N_SAMPLES = 1000
@@ -20,7 +20,6 @@ N_CLUSTERS = 10
 INPUT_DIM = 32
 TEACHER_DIM = 16
 STUDENT_DIM = 8
-N_TEST = 200
 K_EVAL = 5
 
 _DATA_SEED = 61804
@@ -51,10 +50,9 @@ def make_benchmark_teacher() -> MlpModel:
     )
 
 
-def benchmark_split(n: int = N_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed train/test split used by every benchmark evaluation."""
-    perm = np.random.default_rng(_SPLIT_SEED).permutation(n)
-    return perm[N_TEST:], perm[:N_TEST]
+def benchmark_split() -> tuple[np.ndarray, np.ndarray]:
+    """Fixed train/test split used by every benchmark evaluation (``--split-seed 415``)."""
+    return holdout_split(N_SAMPLES, _SPLIT_SEED)
 
 
 def benchmark_config(**overrides) -> DistillConfig:
@@ -79,15 +77,7 @@ def benchmark_config(**overrides) -> DistillConfig:
     return DistillConfig(**base)
 
 
-def embedding_accuracy(emb, labels, k_eval: int = K_EVAL) -> float:
-    """k-NN accuracy of an embedding of the benchmark under the fixed split."""
-    labels = np.asarray(labels)
-    train_idx, test_idx = benchmark_split(len(labels))
-    return knn_classify(
-        emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k_eval
-    )
-
-
 def model_accuracy(model: MlpModel, dataset: Dataset, k_eval: int = K_EVAL) -> float:
+    """k-NN accuracy of the model's embedding of ``dataset`` under the fixed split."""
     emb, _ = forward(model, dataset.inputs)
-    return embedding_accuracy(emb, dataset.labels, k_eval)
+    return holdout_knn_accuracy(emb, dataset.labels, _SPLIT_SEED, k_eval)

@@ -18,9 +18,9 @@ import numpy as np
 from . import io
 from .config import DistillConfig, config_hash, load_config, render_config
 from .data import Dataset
-from .distill import ablate_components, ablate_lambda, distill
+from .distill import ABLATION_GRIDS, ablate, distill
 from .errors import ConfigError, FormatError, NumericalError
-from .evaluate import alignment_diagnostics, knn_classify, linear_probe, recall_at_k
+from .evaluate import alignment_diagnostics, holdout_knn_accuracy, holdout_split, linear_probe, recall_at_k
 from .knn import build_index
 from .models import MlpModel, forward
 
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-LAMBDA_GRID = (0.0, 0.25, 0.5, 1.0)
 
 
 def _load_teacher(path):
@@ -50,12 +48,6 @@ def _teacher_embeddings(teacher, inputs: np.ndarray) -> np.ndarray:
     if teacher.shape[0] != inputs.shape[0]:
         raise FormatError("teacher dump size does not match dataset")
     return teacher
-
-
-def _split(n: int, seed: int, test_fraction: float = 0.2):
-    perm = np.random.default_rng(seed).permutation(n)
-    n_test = max(1, int(round(test_fraction * n)))
-    return perm[n_test:], perm[:n_test]
 
 
 def cmd_precompute(args) -> int:
@@ -125,14 +117,11 @@ def cmd_eval(args) -> int:
 
     if args.suite == "knn":
         labels = _require_labels(dataset, args.suite)
-        train_idx, test_idx = _split(dataset.n, args.split_seed)
-        acc = knn_classify(
-            emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], args.k_eval
-        )
+        acc = holdout_knn_accuracy(emb, labels, args.split_seed, args.k_eval)
         records += [("k_eval", args.k_eval), ("accuracy", acc)]
     elif args.suite == "probe":
         labels = _require_labels(dataset, args.suite)
-        train_idx, test_idx = _split(dataset.n, args.split_seed)
+        train_idx, test_idx = holdout_split(dataset.n, args.split_seed)
         acc = linear_probe(
             emb[train_idx],
             labels[train_idx],
@@ -190,21 +179,13 @@ def cmd_ablate(args) -> int:
     labels = _require_labels(dataset, f"ablate --grid {args.grid}")
     teacher = _load_teacher(args.teacher)
     index = io.read_index(args.index)
-    train_idx, test_idx = _split(dataset.n, args.split_seed)
 
     def eval_fn(student):
         emb, _ = forward(student, dataset.inputs)
-        return knn_classify(
-            emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], args.k_eval
-        )
+        return holdout_knn_accuracy(emb, labels, args.split_seed, args.k_eval)
 
-    unlabeled = dataset.without_labels()
-    if args.grid == "components":
-        rows = ablate_components(cfg, unlabeled, teacher, index, eval_fn)
-        key_col = "variant"
-    else:
-        rows = ablate_lambda(cfg, unlabeled, teacher, index, eval_fn, lambdas=LAMBDA_GRID)
-        key_col = "lambda"
+    rows = ablate(cfg, dataset.without_labels(), teacher, index, eval_fn, args.grid)
+    key_col = ABLATION_GRIDS[args.grid][0]
 
     records: list[tuple[str, object]] = [("grid", args.grid), ("rows", len(rows))]
     for row in rows:
@@ -258,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--grid", required=True, choices=("components", "lambda"))
+    p.add_argument("--grid", required=True, choices=tuple(ABLATION_GRIDS))
     p.add_argument("--out", default="ablation_report.tsv", help="report file")
     p.add_argument("--k-eval", type=int, default=5, dest="k_eval")
     p.add_argument("--split-seed", type=int, default=0, dest="split_seed")

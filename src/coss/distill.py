@@ -1,4 +1,4 @@
-"""End-to-end distillation loop plus the ablation grids.
+"""End-to-end distillation loop plus the ablation driver.
 
 One step: compose the neighbour-enhanced batch, augment it, run the
 frozen teacher and the trainable student on the same inputs, evaluate
@@ -73,7 +73,7 @@ def _resolve_teacher(teacher, n_samples: int, cfg: DistillConfig):
     if emb.ndim != 2:
         raise ValueError("teacher must be an MlpModel or a 2-D embedding matrix")
     if emb.shape[0] != n_samples:
-        raise ValueError("index/dataset size mismatch")
+        raise ValueError("teacher dump size does not match dataset")
     if cfg.aug_sigma != 0.0:
         raise ConfigError("aug_sigma = 0 for embedding-dump teacher")
     return _DumpTeacher(emb)
@@ -100,6 +100,9 @@ def distill(
         raise ValueError("index/dataset size mismatch")
     if config.k > index.pool:
         raise ConfigError("k ≤ pool")
+    last_rows = (n % config.batch_size or config.batch_size) * (1 + config.k)
+    if config.loss_variant == "bn" and last_rows < 2:
+        raise ConfigError(f"bn needs ≥ 2 rows per batch, the epoch's last batch has {last_rows}")
     teacher_side = _resolve_teacher(teacher, n, config)
     d_t = teacher_side.output_dim
 
@@ -163,57 +166,43 @@ def distill(
     return student, log
 
 
-def _final_losses(log: RunLog) -> dict:
-    last = log.steps[-1]
-    return {"l_co": last.l_co, "l_ss": last.l_ss, "l_total": last.l_total}
+# The paper's two ablations.  Each grid names its table's key column, the
+# config field that column shows, and the config overrides of each run.
+ABLATION_GRIDS = {
+    "components": ("variant", "loss_variant",
+                   [{"loss_variant": v} for v in ("co_only", "ss_only", "coss")]),
+    "lambda": ("lambda", "lam",
+               [{"loss_variant": "coss", "lam": lam} for lam in (0.0, 0.25, 0.5, 1.0)]),
+}
 
 
-def ablate_components(
+def ablate(
     base_config: DistillConfig,
     dataset: Dataset,
     teacher,
     index: NeighborIndex,
     eval_fn,
+    grid: str,
 ) -> list[dict]:
-    """Run co-only, ss-only and combined variants with everything else fixed.
+    """Train one student per run of ``ABLATION_GRIDS[grid]``, everything else fixed.
 
     ``eval_fn(student)`` scores each trained student (typically k-NN
-    accuracy on held-out labels).  Returns one row per variant.
+    accuracy on held-out labels).  Returns one row per run, in grid order.
     """
+    key_col, field_name, runs = ABLATION_GRIDS[grid]
     rows = []
-    for variant in ("co_only", "ss_only", "coss"):
-        cfg = base_config.replace(loss_variant=variant)
+    for overrides in runs:
+        cfg = base_config.replace(**overrides)
         student, log = distill(cfg, dataset, teacher, index)
+        last = log.steps[-1]
         rows.append(
             {
-                "variant": variant,
+                key_col: getattr(cfg, field_name),
                 "accuracy": float(eval_fn(student)),
                 "config_hash": config_hash(cfg),
-                **{f"final_{k}": v for k, v in _final_losses(log).items()},
-            }
-        )
-    return rows
-
-
-def ablate_lambda(
-    base_config: DistillConfig,
-    dataset: Dataset,
-    teacher,
-    index: NeighborIndex,
-    eval_fn,
-    lambdas: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0),
-) -> list[dict]:
-    """One combined-objective run per space-similarity weight."""
-    rows = []
-    for lam in lambdas:
-        cfg = base_config.replace(loss_variant="coss", lam=float(lam))
-        student, log = distill(cfg, dataset, teacher, index)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "accuracy": float(eval_fn(student)),
-                "config_hash": config_hash(cfg),
-                **{f"final_{k}": v for k, v in _final_losses(log).items()},
+                "final_l_co": last.l_co,
+                "final_l_ss": last.l_ss,
+                "final_l_total": last.l_total,
             }
         )
     return rows

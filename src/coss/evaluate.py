@@ -55,6 +55,20 @@ def knn_classify(train_emb, train_labels, test_emb, test_labels, k_eval: int = 1
     return float(np.mean(pred == truth))
 
 
+def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (train, test) split of [0, n): a fifth of a permutation, at least one, is held out."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_test = max(1, round(0.2 * n))
+    return perm[n_test:], perm[:n_test]
+
+
+def holdout_knn_accuracy(emb, labels, seed: int, k_eval: int) -> float:
+    """``knn_classify`` of the held-out rows of ``emb`` against the rest, split by ``holdout_split``."""
+    labels = np.asarray(labels)
+    train_idx, test_idx = holdout_split(len(labels), seed)
+    return knn_classify(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k_eval)
+
+
 def linear_probe(
     train_emb,
     train_labels,

@@ -76,9 +76,12 @@ def sample_neighbors(index: NeighborIndex, anchors, k: int, rng: np.random.Gener
     ``anchors[r]``.  The draw takes the generator through exactly the
     states that ``rng.permutation(index.pool)[:k]`` once per anchor, in
     anchor order, would: ``Generator.permuted`` shuffles each row as
-    ``permutation`` does.  k = 0 draws nothing.
+    ``permutation`` does.  k = 0 draws nothing.  An anchor outside
+    ``[0, index.n)`` raises ValueError, whatever k.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
+    if anchors.size and (anchors.min() < 0 or anchors.max() >= index.n):
+        raise ValueError("anchor out of range")
     if k < 0:
         raise ValueError("k ≥ 0")
     if k > index.pool:

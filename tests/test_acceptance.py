@@ -13,7 +13,6 @@ import pytest
 
 from coss.benchmark import (
     benchmark_config,
-    embedding_accuracy,
     make_benchmark_dataset,
     make_benchmark_teacher,
     model_accuracy,
@@ -21,7 +20,7 @@ from coss.benchmark import (
 from coss.cli import main
 from coss.config import DistillConfig
 from coss.data import Dataset
-from coss.distill import ablate_lambda, distill
+from coss.distill import ablate, distill
 from coss.evaluate import alignment_diagnostics
 from coss.io import (
     encode_dataset,
@@ -219,12 +218,13 @@ def test_6_lambda_grid_with_bitwise_zero_arm(bench):
     unlabeled = dataset.without_labels()
     cfg = benchmark_config(seed=0)
 
-    rows = ablate_lambda(
+    rows = ablate(
         cfg,
         unlabeled,
         teacher,
         index,
         eval_fn=lambda s: model_accuracy(s, dataset),
+        grid="lambda",
     )
     assert [r["lambda"] for r in rows] == [0.0, 0.25, 0.5, 1.0]
 

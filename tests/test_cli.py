@@ -1,5 +1,6 @@
 """End-to-end command behaviour: artifacts, exit codes, determinism."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -186,6 +187,24 @@ class TestDistill:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_bn_one_row_last_batch_is_a_usage_error(self, workspace, capsys):
+        # 20 samples in batches of 19 leave a last batch of one anchor
+        workspace["config"].write_text(
+            "[distill]\nloss_variant = bn\nbatch_size = 19\nk = 0\npool = 2\n", encoding="utf-8"
+        )
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert "last batch has 1" in capsys.readouterr().err
+        assert not (out_dir / "student.cssm").exists()
+
+    def test_dump_teacher_of_wrong_size_is_a_data_error(self, workspace, capsys):
+        dump = read_dataset(workspace["dump"])
+        write_dataset(workspace["dump"], Dataset(dump.inputs[:-1]))
+        workspace["teacher"] = workspace["dump"]
+        code, _ = run_distill(workspace)
+        assert code == 3
+        assert "teacher dump size does not match dataset" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, workspace):
         _, first = run_distill(workspace, "run_a")
         _, second = run_distill(workspace, "run_b")
@@ -353,6 +372,24 @@ class TestAblate:
         capsys.readouterr()
         text = report.read_text(encoding="utf-8")
         assert parse_report(text) == read_report(report)
+
+    # SHA-256 of the report file and of the printed table, recorded before the
+    # component and lambda drivers were merged into one ablation loop.
+    PINNED_REPORTS = {
+        "components": ("5c570d7c2a6ec7f34b48aa493e264b1bdbab467c07911cd53108eb756d24d5e2",
+                       "a99fc5f63c7e26ae04b79e0375e2202680dd1b7b9188d071b21a1e06b0153fdb"),
+        "lambda": ("910675bee50f1e7721959a9a49bcdadbaf9d26f3a3c6fc7e2970d0bc1a80cc14",
+                   "8f2ebfbffed03abdbc51e5f516d8fcb6be0bdc4eb7596597b94af5589a2224eb"),
+    }
+
+    @pytest.mark.parametrize("grid", PINNED_REPORTS)
+    def test_reports_and_tables_keep_their_bytes(self, workspace, capsys, grid):
+        capsys.readouterr()
+        code, report = self.run_grid(workspace, grid, f"{grid}.tsv")
+        assert code == 0
+        table = capsys.readouterr().out.encode("utf-8")
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), table))
+        assert digests == self.PINNED_REPORTS[grid]
 
 
 class TestExitCodes:

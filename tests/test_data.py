@@ -103,6 +103,11 @@ class TestComposeBatch:
         with pytest.raises(ValueError, match="k exceeds pool"):
             compose_batch([0], ring_index(), 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("anchors", [[-4], [6], [1, -1]])
+    def test_anchor_out_of_range_rejected(self, anchors):
+        with pytest.raises(ValueError, match="anchor out of range"):
+            compose_batch(anchors, ring_index(), 0, np.random.default_rng(0))
+
     @given(st.integers(0, 2), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_indices_stay_in_range(self, k, seed):

@@ -9,7 +9,7 @@ import coss.losses as losses_mod
 from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.config import DistillConfig, config_hash
 from coss.data import Dataset
-from coss.distill import ablate_components, ablate_lambda, distill
+from coss.distill import ablate, distill
 from coss.errors import ConfigError, NumericalError
 from coss.io import encode_model
 from coss.knn import build_index
@@ -126,6 +126,15 @@ class TestTrainingLoop:
         assert all(np.isfinite(rec.l_total) for rec in log.steps)
         assert log.steps[-1].l_total < log.steps[0].l_total
 
+    def test_bn_one_row_last_batch_is_a_config_error(self):
+        # 65 samples in batches of 64 leave a last batch of one anchor
+        ds, teacher, _, idx = make_setup(n=65)
+        cfg = small_config(loss_variant="bn", k=0, batch_size=64, epochs=1)
+        with pytest.raises(ConfigError, match="last batch has 1"):
+            distill(cfg, ds, teacher, idx)
+        _, log = distill(cfg.replace(k=1), ds, teacher, idx)  # 2 rows: trains
+        assert len(log.steps) == 2
+
 
 # SHA-256 of the student weights and of the (l_co, l_ss, l_total) log of a
 # 3-epoch run of the bundled benchmark, recorded before the training step
@@ -214,7 +223,7 @@ class TestTeacherSources:
 
     def test_dump_row_count_must_match(self):
         ds, _, T, idx = make_setup()
-        with pytest.raises(ValueError, match="size mismatch"):
+        with pytest.raises(ValueError, match="teacher dump size does not match dataset"):
             distill(small_config(aug_sigma=0.0), ds, T[:-1], idx)
 
     def test_index_size_must_match(self):
@@ -245,7 +254,7 @@ class TestAblations:
     def test_component_grid_shape(self):
         ds, teacher, _, idx = make_setup()
         cfg = small_config(epochs=2)
-        rows = ablate_components(cfg, ds, teacher, idx, self.eval_fn(ds, teacher))
+        rows = ablate(cfg, ds, teacher, idx, self.eval_fn(ds, teacher), "components")
         assert [r["variant"] for r in rows] == ["co_only", "ss_only", "coss"]
         hashes = {
             config_hash(cfg.replace(loss_variant=r["variant"]), exclude=("loss_variant",))
@@ -259,6 +268,6 @@ class TestAblations:
     def test_lambda_grid_shape(self):
         ds, teacher, _, idx = make_setup()
         cfg = small_config(epochs=2)
-        rows = ablate_lambda(cfg, ds, teacher, idx, self.eval_fn(ds, teacher))
+        rows = ablate(cfg, ds, teacher, idx, self.eval_fn(ds, teacher), "lambda")
         assert [r["lambda"] for r in rows] == [0.0, 0.25, 0.5, 1.0]
         assert len({r["config_hash"] for r in rows}) == 4

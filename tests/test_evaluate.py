@@ -1,5 +1,6 @@
 """k-NN vote, linear probe, retrieval recall, and alignment diagnostics."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coss.linalg
+from coss.benchmark import benchmark_split
 from coss.evaluate import (
     alignment_diagnostics,
+    holdout_knn_accuracy,
+    holdout_split,
     knn_classify,
     knn_predict,
     linear_probe,
@@ -152,6 +156,30 @@ class TestKnnClassify:
         for block_sims in (1, 40, 130):
             monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", block_sims)
             np.testing.assert_array_equal(knn_predict(train, labels, query, k_eval=5), dense)
+
+
+class TestHoldoutSplit:
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 1000])
+    def test_partition_holds_out_a_fifth(self, n):
+        train, test = holdout_split(n, 3)
+        assert len(test) == max(1, round(n / 5))
+        assert sorted(np.concatenate([train, test]).tolist()) == list(range(n))
+
+    def test_benchmark_split_keeps_its_bytes(self):
+        # SHA-256 of benchmark_split() as it was before it shared holdout_split
+        train, test = benchmark_split()
+        assert hashlib.sha256(train.tobytes() + test.tobytes()).hexdigest() == (
+            "4cbfb70e4afb80b0f3a0b74ec81b2bdbcb516c662ab39a12deccf389be03a854"
+        )
+        for got, want in zip(holdout_split(1000, 415), (train, test)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_knn_accuracy_scores_the_held_out_rows(self):
+        rng = np.random.default_rng(4)
+        emb, labels = rng.normal(size=(40, 3)), rng.integers(0, 3, size=40)
+        train, test = holdout_split(40, 9)
+        want = knn_classify(emb[train], labels[train], emb[test], labels[test], 3)
+        assert holdout_knn_accuracy(emb, labels, 9, 3) == want
 
 
 class TestLinearProbe:

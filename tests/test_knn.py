@@ -110,6 +110,19 @@ class TestSampleNeighbors:
         with pytest.raises(ValueError, match="k exceeds pool"):
             sample_neighbors(self.index, [0], 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("anchors", [[-1], [10], [3, -4, 5], [0, 10**6]])
+    def test_anchor_out_of_range(self, anchors, k):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="anchor out of range"):
+            sample_neighbors(self.index, anchors, k, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_boundary_anchors_and_empty_batch_draw(self):
+        got = sample_neighbors(self.index, [0, 9], 3, np.random.default_rng(0))
+        assert sorted(got[0]) == [1, 2, 3] and sorted(got[1]) == [0, 1, 2]
+        assert sample_neighbors(self.index, [], 2, np.random.default_rng(0)).shape == (0, 2)
+
     def test_uniform_membership_frequency(self):
         draws = 6000
         anchors = np.zeros(draws, dtype=np.int64)

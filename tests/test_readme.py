@@ -1,17 +1,23 @@
-"""The README's command-line quick start runs as written."""
+"""The README's command-line quick start runs as written, and its lists of
+subcommands and scripts match what exists."""
 
+import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from coss.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def quickstart_commands():
     """The command lines of the first code block under "## Command line"."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = README.split("## Command line", 1)[1]
     block = section.split("```", 2)[1]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
@@ -29,3 +35,25 @@ def test_command_line_quick_start_runs(tmp_path):
             argv = [sys.executable, str(ROOT / argv[1]), *argv[2:]]
         proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
+
+
+def test_listed_subcommands_are_the_parsers():
+    listed = re.search(r"`coss` has \w+ subcommands: ([^.]*)\.", README).group(1)
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert re.findall(r"`(\w+)`", listed) == list(subparsers.choices)
+
+
+def test_named_scripts_exist_and_every_script_is_named():
+    named = set(re.findall(r"scripts/[\w.-]+", README))
+    assert named, "README names no script"
+    assert {p for p in named if not (ROOT / p).is_file()} == set()
+    present = {f"scripts/{p.name}" for p in (ROOT / "scripts").iterdir() if p.is_file()}
+    assert present - named == set()
+
+
+def test_every_documented_command_parses():
+    blocks = README.split("```")[1::2]
+    lines = [ln for b in blocks for ln in b.replace("\\\n", " ").splitlines() if ln.startswith("coss ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # SystemExit on an unknown option
