@@ -7,7 +7,7 @@ batches enhanced by precomputed nearest neighbours.
 """
 
 from .config import DistillConfig, config_hash, load_config, render_config, validate_config
-from .data import BatchPlan, Dataset, augment, compose_batch, epoch_batches
+from .data import Dataset, augment, compose_batch, epoch_batches
 from .distill import ABLATION_GRIDS, RunLog, StepRecord, ablate, distill
 from .errors import ConfigError, FormatError, NumericalError
 from .evaluate import (

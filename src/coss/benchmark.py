@@ -19,7 +19,6 @@ N_SAMPLES = 1000
 N_CLUSTERS = 10
 INPUT_DIM = 32
 TEACHER_DIM = 16
-STUDENT_DIM = 8
 K_EVAL = 5
 
 _DATA_SEED = 61804
@@ -56,25 +55,8 @@ def benchmark_split() -> tuple[np.ndarray, np.ndarray]:
 
 
 def benchmark_config(**overrides) -> DistillConfig:
-    base = dict(
-        lam=1.0,
-        beta=1.0,
-        k=4,
-        pool=16,
-        batch_size=64,
-        epochs=50,
-        lr=0.5,
-        momentum=0.9,
-        weight_decay=0.0,
-        aug_sigma=0.05,
-        seed=0,
-        loss_variant="coss",
-        student_hidden=(48,),
-        student_dim=STUDENT_DIM,
-        student_activation="relu",
-    )
-    base.update(overrides)
-    return DistillConfig(**base)
+    """The benchmark's training config: the ``DistillConfig`` defaults plus ``overrides``."""
+    return DistillConfig(**overrides)
 
 
 def model_accuracy(model: MlpModel, dataset: Dataset, k_eval: int = K_EVAL) -> float:

@@ -18,11 +18,11 @@ import numpy as np
 from . import io
 from .config import DistillConfig, config_hash, load_config, render_config
 from .data import Dataset
-from .distill import ABLATION_GRIDS, ablate, distill
+from .distill import ABLATION_GRIDS, ablate, distill, teacher_embeddings
 from .errors import ConfigError, FormatError, NumericalError
 from .evaluate import alignment_diagnostics, holdout_knn_accuracy, holdout_split, linear_probe, recall_at_k
 from .knn import build_index
-from .models import MlpModel, forward
+from .models import forward
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,22 +41,14 @@ def _load_teacher(path):
     raise FormatError("bad magic")
 
 
-def _teacher_embeddings(teacher, inputs: np.ndarray) -> np.ndarray:
-    if isinstance(teacher, MlpModel):
-        out, _ = forward(teacher, inputs)
-        return out
-    if teacher.shape[0] != inputs.shape[0]:
-        raise FormatError("teacher dump size does not match dataset")
-    return teacher
-
-
 def cmd_precompute(args) -> int:
     dataset = io.read_dataset(args.data)
-    teacher = _load_teacher(args.teacher)
-    emb = _teacher_embeddings(teacher, dataset.inputs)
+    emb = teacher_embeddings(_load_teacher(args.teacher), dataset.inputs)
     t0 = time.perf_counter()
     try:
         index = build_index(emb, args.pool)
+    except NumericalError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     io.write_index(args.out, index)
@@ -78,12 +70,12 @@ def cmd_distill(args) -> int:
     dataset = io.read_dataset(args.data)
     teacher = _load_teacher(args.teacher)
     index = io.read_index(args.index)
-    os.makedirs(args.out, exist_ok=True)
 
     t0 = time.perf_counter()
     student, log = distill(cfg, dataset.without_labels(), teacher, index)
     elapsed = time.perf_counter() - t0
 
+    os.makedirs(args.out, exist_ok=True)
     io.write_model(os.path.join(args.out, "student.cssm"), student)
     io.atomic_write(
         os.path.join(args.out, "config.ini"), render_config(cfg).encode("utf-8")
@@ -139,8 +131,7 @@ def cmd_eval(args) -> int:
     elif args.suite == "align":
         if args.teacher is None:
             raise ConfigError("suite 'align' requires --teacher")
-        teacher = _load_teacher(args.teacher)
-        t_emb = _teacher_embeddings(teacher, dataset.inputs)
+        t_emb = teacher_embeddings(_load_teacher(args.teacher), dataset.inputs)
         if t_emb.shape[1] != emb.shape[1]:
             raise ConfigError(
                 f"align needs matching widths, student {emb.shape[1]} vs teacher {t_emb.shape[1]}"
@@ -255,12 +246,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

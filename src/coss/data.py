@@ -6,7 +6,7 @@ construction and never looks at them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +50,6 @@ class Dataset:
         return self.labels is None or np.array_equal(self.labels, other.labels)
 
 
-@dataclass
-class BatchPlan:
-    """Anchors plus their sampled neighbours, in a fixed layout.
-
-    ``enhanced_indices`` holds the anchors first, then the k neighbours of
-    each anchor in anchor order, so every batch is reproducible from the
-    rng stream alone.
-    """
-
-    anchor_indices: np.ndarray = field(repr=False)
-    enhanced_indices: np.ndarray = field(repr=False)
-
-
 def epoch_batches(n: int, b: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Chunk a seeded permutation of [0, n) into ceil(n/b) batches.
 
@@ -77,11 +64,15 @@ def epoch_batches(n: int, b: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [perm[start : start + b] for start in range(0, n, b)]
 
 
-def compose_batch(anchors, index: NeighborIndex, k: int, rng: np.random.Generator) -> BatchPlan:
-    """Append k sampled neighbours per anchor; k=0 reproduces the plain batch."""
+def compose_batch(anchors, index: NeighborIndex, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample indices of one neighbour-enhanced batch; k=0 reproduces the plain batch.
+
+    The anchors come first, then the k sampled neighbours of each anchor in
+    anchor order, so every batch is reproducible from the rng stream alone.
+    """
     anchors = np.asarray(anchors, dtype=np.int64)
     picks = sample_neighbors(index, anchors, k, rng)
-    return BatchPlan(anchors, np.concatenate([anchors, picks.ravel()]))
+    return np.concatenate([anchors, picks.ravel()])
 
 
 def augment(X, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,7 @@ from .config import DistillConfig, config_hash, validate_config
 from .data import Dataset, augment, compose_batch, epoch_batches
 from .errors import ConfigError, NumericalError
 from .knn import NeighborIndex
+from .linalg import as_matrix
 from .losses import BnParams, objective
 # not called here; perfbench --trace 1 wraps these names on this module
 from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
@@ -43,40 +44,18 @@ class RunLog:
     wall_time: float = 0.0
 
 
-class _ModelTeacher:
-    """Frozen network teacher: embeds whatever batch it is handed."""
+def teacher_embeddings(teacher, inputs: np.ndarray) -> np.ndarray:
+    """The frozen teacher's embedding of every row of ``inputs``.
 
-    def __init__(self, model: MlpModel):
-        self.model = model
-        self.output_dim = model.output_dim
-
-    def embed(self, X_batch, plan):
-        out, _ = forward(self.model, X_batch)
-        return out
-
-
-class _DumpTeacher:
-    """Precomputed embedding matrix; rows are looked up by sample index."""
-
-    def __init__(self, embeddings: np.ndarray):
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        self.output_dim = self.embeddings.shape[1]
-
-    def embed(self, X_batch, plan):
-        return self.embeddings[plan.enhanced_indices]
-
-
-def _resolve_teacher(teacher, n_samples: int, cfg: DistillConfig):
+    ``teacher`` is an MlpModel, which is run on ``inputs``, or a
+    precomputed (n, d_t) embedding dump with one row per input row.
+    """
     if isinstance(teacher, MlpModel):
-        return _ModelTeacher(teacher)
-    emb = np.asarray(teacher, dtype=np.float64)
-    if emb.ndim != 2:
-        raise ValueError("teacher must be an MlpModel or a 2-D embedding matrix")
-    if emb.shape[0] != n_samples:
+        return forward(teacher, inputs)[0]
+    dump = as_matrix(teacher, "teacher dump")
+    if dump.shape[0] != inputs.shape[0]:
         raise ValueError("teacher dump size does not match dataset")
-    if cfg.aug_sigma != 0.0:
-        raise ConfigError("aug_sigma = 0 for embedding-dump teacher")
-    return _DumpTeacher(emb)
+    return dump
 
 
 def distill(
@@ -103,8 +82,12 @@ def distill(
     last_rows = (n % config.batch_size or config.batch_size) * (1 + config.k)
     if config.loss_variant == "bn" and last_rows < 2:
         raise ConfigError(f"bn needs ≥ 2 rows per batch, the epoch's last batch has {last_rows}")
-    teacher_side = _resolve_teacher(teacher, n, config)
-    d_t = teacher_side.output_dim
+    dump = None
+    if not isinstance(teacher, MlpModel):
+        dump = teacher_embeddings(teacher, X)
+        if config.aug_sigma != 0.0:
+            raise ConfigError("aug_sigma = 0 for embedding-dump teacher")
+    d_t = teacher.output_dim if dump is None else dump.shape[1]
 
     rng = np.random.default_rng(config.seed)
     student = init_model(
@@ -131,9 +114,9 @@ def distill(
 
     for epoch in range(config.epochs):
         for anchors in epoch_batches(n, config.batch_size, rng):
-            plan = compose_batch(anchors, index, config.k, rng)
-            X_aug = augment(X[plan.enhanced_indices], config.aug_sigma, rng)
-            A_t = teacher_side.embed(X_aug, plan)
+            rows = compose_batch(anchors, index, config.k, rng)
+            X_aug = augment(X[rows], config.aug_sigma, rng)
+            A_t = forward(teacher, X_aug)[0] if dump is None else dump[rows]
 
             emb_s, cache_s = forward(student, X_aug)
             if head is not None:

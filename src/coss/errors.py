@@ -13,5 +13,5 @@ class FormatError(Exception):
     """A file does not conform to its binary layout (exit 3)."""
 
 
-class NumericalError(Exception):
+class NumericalError(ValueError):
     """A NaN/Inf showed up where only finite values are allowed (exit 4)."""

@@ -23,11 +23,11 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
         raise ValueError("k_eval ≥ 1")
     if np.asarray(train_emb, dtype=np.float64).shape[0] == 0:
         raise ValueError("empty train set")
-    E = l2_normalize(train_emb, axis="rows")
+    E = l2_normalize(train_emb)
     labels = np.asarray(train_labels, dtype=np.int64)
     if labels.shape != (E.shape[0],):
         raise ValueError("labels length must equal train size")
-    Q = l2_normalize(test_emb, axis="rows")
+    Q = l2_normalize(test_emb)
     if Q.shape[1] != E.shape[1]:
         raise ValueError("shape mismatch")
     k_eval = min(k_eval, E.shape[0])
@@ -133,9 +133,9 @@ def recall_at_k(
         raise ValueError("K ≥ 1")
     if np.asarray(gallery_emb, dtype=np.float64).shape[0] == 0:
         raise ValueError("empty gallery")
-    G = l2_normalize(gallery_emb, axis="rows")
+    G = l2_normalize(gallery_emb)
     gl = np.asarray(gallery_labels, dtype=np.int64)
-    Q = l2_normalize(query_emb, axis="rows")
+    Q = l2_normalize(query_emb)
     ql = np.asarray(query_labels, dtype=np.int64)
     if exclude_self and Q.shape[0] != G.shape[0]:
         raise ValueError("exclude_self needs query and gallery of equal size")
@@ -158,7 +158,7 @@ class AlignmentDiagnostics:
     mean_row_cosine: float = 0.0
 
 
-def alignment_diagnostics(A_s, A_t, eps: float = DEFAULT_EPS) -> AlignmentDiagnostics:
+def alignment_diagnostics(A_s, A_t) -> AlignmentDiagnostics:
     """Column cosines, column-norm ratios, and the mean per-sample cosine."""
     S = as_matrix(A_s, "A_s")
     T = as_matrix(A_t, "A_t")
@@ -167,13 +167,12 @@ def alignment_diagnostics(A_s, A_t, eps: float = DEFAULT_EPS) -> AlignmentDiagno
     sn = np.sqrt(np.einsum("ij,ij->j", S, S))
     tn = np.sqrt(np.einsum("ij,ij->j", T, T))
     dots = np.einsum("ij,ij->j", S, T)
+    eps = DEFAULT_EPS
     nonzero = (sn > eps) & (tn > eps)
     cosines = np.where(nonzero, dots / np.maximum(sn * tn, eps * eps), 0.0)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     scales = np.where(tn > eps, sn / np.maximum(tn, eps), 0.0)
-    Sh = l2_normalize(S, axis="rows", eps=eps)
-    Th = l2_normalize(T, axis="rows", eps=eps)
-    mean_row = float(np.mean(np.einsum("ij,ij->i", Sh, Th)))
+    mean_row = float(np.mean(np.einsum("ij,ij->i", l2_normalize(S), l2_normalize(T))))
     return AlignmentDiagnostics(
         per_dim_cosine=cosines, per_dim_scale=scales, mean_row_cosine=mean_row
     )

@@ -59,7 +59,7 @@ def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
     Similarities are computed blockwise so the full N x N matrix is never
     materialised, but the result is identical to the dense definition.
     """
-    E = l2_normalize(teacher_emb, axis="rows")
+    E = l2_normalize(teacher_emb)
     n = E.shape[0]
     if pool < 1:
         raise ValueError("pool ≥ 1")

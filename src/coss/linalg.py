@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 # Norm guard: vectors shorter than this are treated as zero rather than
 # blowing up the division.  Zero embeddings normalise to zero.
 DEFAULT_EPS = 1e-12
@@ -22,7 +24,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
     if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite input")
+        raise NumericalError("non-finite input")
     return A
 
 
@@ -31,24 +33,16 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", A, A))
 
 
-def l2_normalize(M, axis: str = "rows", eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Scale each row (or column) of ``M`` to unit L2 norm.
+def l2_normalize(M) -> np.ndarray:
+    """Scale each row of ``M`` to unit L2 norm.
 
-    Vectors whose norm is below ``eps`` are divided by ``eps`` instead, so
-    an all-zero vector passes through as zeros instead of erroring.
+    Rows whose norm is below ``DEFAULT_EPS`` are divided by it instead, so
+    an all-zero row passes through as zeros instead of erroring.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     # einsum rounds differently on other layouts, so a Fortran-ordered copy
     # of the same rows would rank differently in cosine_top_k
     A = np.ascontiguousarray(as_matrix(M))
-    if axis == "rows":
-        norms = row_norms(A)[:, None]
-    elif axis == "cols":
-        norms = np.sqrt(np.einsum("ij,ij->j", A, A))[None, :]
-    else:
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    return A / np.maximum(norms, eps)
+    return A / np.maximum(row_norms(A)[:, None], DEFAULT_EPS)
 
 
 def _candidates(sims: np.ndarray, k: int, margin: float = 0.0, work: np.ndarray | None = None):

@@ -31,57 +31,58 @@ def _check_pair(A_s, A_t):
     return S, T
 
 
-def loss_co(A_s, A_t, eps: float = DEFAULT_EPS) -> float:
+def loss_co(A_s, A_t) -> float:
     """Negative mean cosine between matching rows of the two matrices."""
     S, T = _check_pair(A_s, A_t)
-    cos = np.einsum("ij,ij->i", l2_normalize(S, "rows", eps), l2_normalize(T, "rows", eps))
+    cos = np.einsum("ij,ij->i", l2_normalize(S), l2_normalize(T))
     return -float(np.mean(cos))
 
 
-def loss_ss(A_s, A_t, eps: float = DEFAULT_EPS) -> float:
+def loss_ss(A_s, A_t) -> float:
     """Negative mean cosine between matching columns; equals the row loss on transposes."""
     S, T = _check_pair(A_s, A_t)
-    return loss_co(S.T, T.T, eps)
+    return loss_co(S.T, T.T)
 
 
-def _row_cosines(S: np.ndarray, T: np.ndarray, eps: float):
+def _row_cosines(S: np.ndarray, T: np.ndarray):
     """Row norms of S, both row-normalised matrices and each row pair's cosine.
 
     Rounds exactly as ``l2_normalize`` and the einsum of ``loss_co`` do on
     the same C-ordered rows.
     """
     ns = np.sqrt(np.einsum("ij,ij->i", S, S))
-    S_hat = S / np.maximum(ns, eps)[:, None]
-    T_hat = T / np.maximum(np.sqrt(np.einsum("ij,ij->i", T, T)), eps)[:, None]
+    S_hat = S / np.maximum(ns, DEFAULT_EPS)[:, None]
+    T_hat = T / np.maximum(np.sqrt(np.einsum("ij,ij->i", T, T)), DEFAULT_EPS)[:, None]
     return ns, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
 
 
-def _neg_cosine_row_grad(ns, S_hat, T_hat, cos, eps: float) -> np.ndarray:
+def _neg_cosine_row_grad(ns, S_hat, T_hat, cos) -> np.ndarray:
     """Row-wise gradient of -cosine(S_i, T_i) with respect to S (unaveraged).
 
     Takes ``_row_cosines``'s output.  Rows of S whose norm is under the
-    guard behave as S_i . T_hat / eps, whose exact gradient is -T_hat / eps.
+    guard eps = ``DEFAULT_EPS`` behave as S_i . T_hat / eps, whose exact
+    gradient is -T_hat / eps.
     """
-    dns = np.maximum(ns, eps)[:, None]
-    proj = np.where((ns > eps)[:, None], cos[:, None] * S_hat, 0.0)
+    dns = np.maximum(ns, DEFAULT_EPS)[:, None]
+    proj = np.where((ns > DEFAULT_EPS)[:, None], cos[:, None] * S_hat, 0.0)
     return -(T_hat - proj) / dns
 
 
-def _space_grad(S: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
+def _space_grad(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     # on the transposed views: C-ordered copies would round differently
     # and move the trained weights
-    return _neg_cosine_row_grad(*_row_cosines(S.T, T.T, eps), eps).T / S.shape[1]
+    return _neg_cosine_row_grad(*_row_cosines(S.T, T.T)).T / S.shape[1]
 
 
-def grad_co(A_s, A_t, eps: float = DEFAULT_EPS) -> np.ndarray:
+def grad_co(A_s, A_t) -> np.ndarray:
     """Gradient of the row term with respect to the student matrix."""
     S, T = _check_pair(A_s, A_t)
-    return _neg_cosine_row_grad(*_row_cosines(S, T, eps), eps) / S.shape[0]
+    return _neg_cosine_row_grad(*_row_cosines(S, T)) / S.shape[0]
 
 
-def grad_ss(A_s, A_t, eps: float = DEFAULT_EPS) -> np.ndarray:
+def grad_ss(A_s, A_t) -> np.ndarray:
     """Gradient of the column term with respect to the student matrix."""
-    return _space_grad(*_check_pair(A_s, A_t), eps)
+    return _space_grad(*_check_pair(A_s, A_t))
 
 
 @dataclass
@@ -153,22 +154,22 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     value is bit-identical to the per-term functions' (``loss_co``,
     ``loss_ss``, ``grad_co``, ``grad_ss``, ``loss_bn``).
     """
-    row = _row_cosines(A_s, A_t, DEFAULT_EPS)
+    row = _row_cosines(A_s, A_t)
     l_co = -float(np.mean(row[3]))
     # loss_ss normalises C-ordered copies of the transposes, which round
     # differently from the views the gradient uses
-    cols = _row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T), DEFAULT_EPS)
+    cols = _row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T))
     l_ss = -float(np.mean(cols[3]))
     if cfg.loss_variant == "bn":
         l_total, G, d_gamma, d_beta = _bn_terms(A_s, A_t, bn)
         return l_co, l_ss, l_total, G, [d_gamma, d_beta]
     if cfg.loss_variant == "ss_only":
-        G, l_total = _space_grad(A_s, A_t, DEFAULT_EPS), l_ss
+        G, l_total = _space_grad(A_s, A_t), l_ss
     else:
-        G, l_total = _neg_cosine_row_grad(*row, DEFAULT_EPS) / A_s.shape[0], l_co
+        G, l_total = _neg_cosine_row_grad(*row) / A_s.shape[0], l_co
         # lam == 0 goes through the same arithmetic as co_only, so the two
         # stay bit-identical under a shared seed
         if cfg.loss_variant == "coss" and cfg.lam != 0.0:
-            G = G + cfg.lam * _space_grad(A_s, A_t, DEFAULT_EPS)
+            G = G + cfg.lam * _space_grad(A_s, A_t)
             l_total = l_co + cfg.lam * l_ss
     return l_co, l_ss, cfg.beta * l_total, cfg.beta * G, []

@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.cli import main
+from coss.config import render_config
 from coss.data import Dataset
 from coss.io import (
     encode_dataset,
@@ -195,7 +197,7 @@ class TestDistill:
         code, out_dir = run_distill(workspace)
         assert code == 2
         assert "last batch has 1" in capsys.readouterr().err
-        assert not (out_dir / "student.cssm").exists()
+        assert not out_dir.exists()
 
     def test_dump_teacher_of_wrong_size_is_a_data_error(self, workspace, capsys):
         dump = read_dataset(workspace["dump"])
@@ -437,3 +439,22 @@ class TestExitCodes:
         )
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
+
+    def test_diverging_run_with_a_projection_head_is_a_numerical_error(self, tmp_path, capsys):
+        # the benchmark's 8-D student trains through a head to its 16-D teacher;
+        # at lr 1e300 the head is the first to see the overflow
+        data, teacher = tmp_path / "bench.cssd", tmp_path / "teacher.cssm"
+        index, config = tmp_path / "nn.cssk", tmp_path / "diverge.ini"
+        write_dataset(data, make_benchmark_dataset())
+        write_model(teacher, make_benchmark_teacher())
+        config.write_text(render_config(benchmark_config(lr=1e300, epochs=2)), encoding="utf-8")
+        inputs = ["--data", str(data), "--teacher", str(teacher)]
+        assert main(["precompute", *inputs, "--pool", "16", "--out", str(index)]) == 0
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["distill", "--config", str(config), *inputs, "--index", str(index), "--out", str(out_dir)]
+            )
+        assert code == 4
+        assert "numerical error" in capsys.readouterr().err
+        assert not out_dir.exists()

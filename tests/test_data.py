@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coss.data import BatchPlan, Dataset, augment, compose_batch, epoch_batches
+from coss.data import Dataset, augment, compose_batch, epoch_batches
 from coss.knn import NeighborIndex
 
 
@@ -79,23 +79,23 @@ class TestEpochBatches:
 class TestComposeBatch:
     def test_zero_neighbours_reproduces_plain_batch(self):
         anchors = np.array([3, 1])
-        plan = compose_batch(anchors, ring_index(), 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(plan.enhanced_indices, anchors)
-        assert plan.enhanced_indices is not anchors
+        batch = compose_batch(anchors, ring_index(), 0, np.random.default_rng(0))
+        np.testing.assert_array_equal(batch, anchors)
+        assert batch is not anchors
 
     def test_exhaustive_pool_is_a_permutation(self):
-        plan = compose_batch([0], ring_index(), 2, np.random.default_rng(0))
-        assert plan.enhanced_indices[0] == 0
-        assert sorted(plan.enhanced_indices[1:]) == [2, 5]
+        batch = compose_batch([0], ring_index(), 2, np.random.default_rng(0))
+        assert batch[0] == 0
+        assert sorted(batch[1:]) == [2, 5]
 
     def test_layout_anchors_first_then_neighbour_blocks(self):
         idx = ring_index(n=10, pool=2)
         anchors = np.array([4, 7, 1])
         k = 2
-        plan = compose_batch(anchors, idx, k, np.random.default_rng(5))
-        assert len(plan.enhanced_indices) == len(anchors) * (1 + k)
-        np.testing.assert_array_equal(plan.enhanced_indices[: len(anchors)], anchors)
-        blocks = plan.enhanced_indices[len(anchors) :].reshape(len(anchors), k)
+        batch = compose_batch(anchors, idx, k, np.random.default_rng(5))
+        assert len(batch) == len(anchors) * (1 + k)
+        np.testing.assert_array_equal(batch[: len(anchors)], anchors)
+        blocks = batch[len(anchors) :].reshape(len(anchors), k)
         for anchor, block in zip(anchors, blocks):
             assert set(block) <= set(idx.neighbors[anchor])
 
@@ -114,9 +114,9 @@ class TestComposeBatch:
         idx = ring_index(n=8, pool=2)
         rng = np.random.default_rng(seed)
         anchors = rng.permutation(8)[:4]
-        plan = compose_batch(anchors, idx, k, rng)
-        assert plan.enhanced_indices.min() >= 0
-        assert plan.enhanced_indices.max() < 8
+        batch = compose_batch(anchors, idx, k, rng)
+        assert batch.min() >= 0
+        assert batch.max() < 8
 
 
 class TestAugment:
@@ -147,8 +147,3 @@ class TestAugment:
         with pytest.raises(ValueError, match="aug_sigma"):
             augment(np.ones((1, 1)), -0.1, np.random.default_rng(0))
 
-
-def test_batchplan_fields_hold_given_arrays():
-    plan = BatchPlan(np.array([1]), np.array([1, 2]))
-    assert plan.anchor_indices.tolist() == [1]
-    assert plan.enhanced_indices.tolist() == [1, 2]

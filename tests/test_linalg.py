@@ -27,28 +27,16 @@ positive_matrices = arrays(
 
 class TestL2Normalize:
     def test_pythagorean_row(self):
-        out = l2_normalize([[3.0, 4.0]], axis="rows")
+        out = l2_normalize([[3.0, 4.0]])
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_stays_zero(self):
-        out = l2_normalize([[0.0, 0.0]], axis="rows")
+        out = l2_normalize([[0.0, 0.0]])
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
-
-    def test_per_column(self):
-        out = l2_normalize([[1.0, 0.0], [0.0, 2.0]], axis="cols")
-        np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite input"):
             l2_normalize([[np.nan, 1.0]])
-
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            l2_normalize([[1.0]], axis="diag")
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            l2_normalize([[1.0]], eps=0.0)
 
     @given(finite_matrices)
     def test_idempotent(self, M):
@@ -62,7 +50,7 @@ class TestL2Normalize:
 
     @given(positive_matrices)
     def test_unit_norms(self, M):
-        out = l2_normalize(M, axis="rows")
+        out = l2_normalize(M)
         np.testing.assert_allclose(
             np.sqrt((out * out).sum(axis=1)), 1.0, atol=1e-12
         )
