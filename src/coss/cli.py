@@ -66,6 +66,13 @@ def _require_labels(dataset: Dataset, suite: str) -> np.ndarray:
 
 
 def cmd_distill(args) -> int:
+    # --out is made only after training, so that a rejected run leaves no
+    # directory behind; a path that can never become one fails up front
+    head = os.path.abspath(args.out)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(f"--out {args.out}: {head} is not a directory")
     cfg = load_config(args.config)
     dataset = io.read_dataset(args.data)
     teacher = _load_teacher(args.teacher)
@@ -249,7 +256,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

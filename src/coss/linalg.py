@@ -45,21 +45,23 @@ def l2_normalize(M) -> np.ndarray:
     return A / np.maximum(row_norms(A)[:, None], DEFAULT_EPS)
 
 
-def _candidates(sims: np.ndarray, k: int, margin: float = 0.0, work: np.ndarray | None = None):
-    """Row and column of every entry at least its row's k-th largest minus ``margin``.
+def _candidates(sims: np.ndarray, k: int, margin: float = 0.0):
+    """Row and column of every entry at least its row's bound minus ``margin``.
 
-    Every row has at least k candidates, more when ties or the margin
-    cross the threshold.  ``work``, an array of the shape of ``sims``, is
-    overwritten when given.
+    The bound is the row's maximum for k = 1, else the k-th largest of its
+    g = min(n, max(8k, 128)) group maxima, column j in group j mod g (the
+    last n mod g columns left out).  Those are g distinct entries of the
+    row, so every row has at least k candidates, more when ties, the bound
+    or the margin let them in.
     """
-    n = sims.shape[1]
+    m, n = sims.shape
     if k == 1:
         kth = sims.max(axis=1)
     else:
-        work = np.empty_like(sims) if work is None else work
-        np.copyto(work, sims)
-        work.partition(n - k, axis=1)
-        kth = work[:, n - k]
+        # the max runs an inner loop g wide, several times slower below 128
+        g = min(n, max(8 * k, 128))
+        maxima = sims[:, : n - n % g].reshape(m, n // g, g).max(axis=1)
+        kth = np.partition(maxima, g - k, axis=1)[:, g - k]
     # flatnonzero is several times faster than a 2-D nonzero
     return np.divmod(np.flatnonzero(sims >= (kth - margin)[:, None]), n)
 
@@ -80,7 +82,8 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
 
     Ties go to the lower column, so the result equals
     ``np.argsort(-sims, axis=1, kind="stable")[:, :k]`` exactly, but only
-    the entries at or above each row's k-th largest value get sorted.
+    the entries at or above a lower bound on each row's k-th largest value
+    get sorted (see ``_candidates``).
     Needs ``1 <= k <= sims.shape[1]`` and no NaN.
     """
     rows, cols = _candidates(sims, k)
@@ -95,12 +98,11 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 def _rank_block(Qb: np.ndarray, G: np.ndarray, k: int, self_offset: int | None,
-                approx: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+                approx: np.ndarray) -> np.ndarray:
     """``top_k`` of the einsum similarities of ``Qb`` against ``G``, screened by BLAS.
 
     With ``self_offset``, ``Qb[r]`` never ranks ``G[self_offset + r]``.
-    ``approx`` and ``work`` are ``len(Qb) x len(G)`` buffers it overwrites
-    (see ``_candidates`` for ``work``).
+    ``approx`` is a ``len(Qb) x len(G)`` buffer it overwrites.
     """
     (m, d), n_g = Qb.shape, G.shape[0]
     # Higham's bound gamma_d on the rounding error of a d-term dot product
@@ -114,7 +116,7 @@ def _rank_block(Qb: np.ndarray, G: np.ndarray, k: int, self_offset: int | None,
     np.matmul(Qb, G.T, out=approx)
     if self_offset is not None:
         approx[np.arange(m), np.arange(self_offset, self_offset + m)] = -np.inf
-    rows, cols = _candidates(approx, k, 4 * gamma, work)
+    rows, cols = _candidates(approx, k, 4 * gamma)
     if len(rows) * d > m * n_g:
         # ties flood the candidate set: gathering their rows would take more
         # memory than the dense block
@@ -148,12 +150,10 @@ def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = Fals
     G = np.ascontiguousarray(G)
     n_q, n_g = Q.shape[0], G.shape[0]
     step = block_rows or max(1, BLOCK_SIMS // n_g)
-    # every block reuses these: fresh ones would cost a page fault per page
+    # every block reuses this: a fresh one would cost a page fault per page
     # (a third of the ranking time at 5000 x 5000)
     approx = np.empty((min(step, n_q), n_g))
-    work = np.empty_like(approx) if k > 1 else None  # k = 1 takes a max, not a partition
     for start in range(0, n_q, step):
         m = min(step, n_q - start)
         self_offset = start if exclude_self else None
-        block_work = None if work is None else work[:m]
-        yield start, _rank_block(Q[start : start + m], G, k, self_offset, approx[:m], block_work)
+        yield start, _rank_block(Q[start : start + m], G, k, self_offset, approx[:m])

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import coss.cli
 from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.cli import main
 from coss.config import render_config
@@ -439,6 +440,37 @@ class TestExitCodes:
         )
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", "dangling"])
+    def test_distill_out_at_or_under_a_file_fails_before_training(
+        self, workspace, capsys, monkeypatch, out
+    ):
+        afile = workspace["root"] / "afile"
+        afile.write_text("keep\n")
+        (workspace["root"] / "dangling").symlink_to(workspace["root"] / "missing")
+        calls = []
+        monkeypatch.setattr(coss.cli, "distill", lambda *args: calls.append(args))
+        code, _ = run_distill(workspace, out)
+        assert code == 3
+        assert "is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert afile.read_text() == "keep\n"
+
+    def test_eval_report_under_a_file_is_a_data_error(self, workspace, capsys):
+        afile = workspace["root"] / "afile"
+        afile.write_text("keep\n")
+        code = main(
+            [
+                "eval",
+                "--student", str(workspace["teacher"]),
+                "--data", str(workspace["data"]),
+                "--suite", "knn",
+                "--out", str(afile / "x.tsv"),
+            ]
+        )
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert afile.read_text() == "keep\n"
 
     def test_diverging_run_with_a_projection_head_is_a_numerical_error(self, tmp_path, capsys):
         # the benchmark's 8-D student trains through a head to its 16-D teacher;

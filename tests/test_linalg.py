@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coss.linalg import cosine_top_k, l2_normalize, top_k
+from coss.knn import build_index
+from coss.linalg import UNIT_ROUNDOFF, _candidates, cosine_top_k, l2_normalize, top_k
 
 # zero entries are fine; magnitudes inside (0, eps) are not a meaningful
 # embedding scale and break the eps-guard semantics
@@ -77,6 +78,46 @@ class TestTopK:
         sims = np.array([[0.5, 1.0, 0.5, 1.0, 0.5]])
         np.testing.assert_array_equal(top_k(sims, 3), [[1, 3, 0]])
         np.testing.assert_array_equal(top_k(sims, 1), [[1]])
+
+
+def mostly_minus_inf(rng, n, k, g):
+    """Rows of -inf with at most k + 1 finite entries, so whole groups are -inf.
+
+    The last row keeps its finite entries in the n mod g columns the group
+    maxima leave out.
+    """
+    sims = np.full((8, n), -np.inf)
+    for row in sims[:-1]:
+        cols = rng.choice(n, size=min(n, int(rng.integers(0, k + 2))), replace=False)
+        row[cols] = rng.integers(0, 3, size=len(cols))
+    sims[-1, n - n % g :] = rng.integers(0, 3, size=n % g)
+    return sims
+
+
+class TestTopKBound:
+    """Only entries at or above a bound from group maxima get sorted; the
+    grouping starts to matter once a row is wider than max(8k, 128) columns."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 17])
+    def test_equals_stable_argsort_across_group_counts(self, k):
+        rng = np.random.default_rng(k)
+        g = max(8 * k, 128)
+        widths = {
+            k, k + 1, 8 * k - 1, 8 * k, 8 * k + 1, g - 1, g, g + 1, 2 * g + 3, 300,
+            *rng.integers(k, 301, size=10).tolist(),
+        }
+        for n in sorted(widths):
+            blocks = [
+                rng.normal(size=(8, n)),
+                # few distinct values: rows full of exact ties
+                rng.integers(0, 3, size=(8, n)).astype(float),
+                np.zeros((2, n)),
+                mostly_minus_inf(rng, n, k, min(n, g)),
+            ]
+            for sims in blocks:
+                np.testing.assert_array_equal(
+                    top_k(sims, k), np.argsort(-sims, axis=1, kind="stable")[:, :k], err_msg=f"n={n}"
+                )
 
 
 def ranked(Q, G, k, **kwargs):
@@ -171,6 +212,33 @@ class TestBlasScreen:
 
         np.testing.assert_array_equal(got, expected)
         assert peak <= 1.5 * dense_peak, (peak, dense_peak)
+
+    def test_screen_keeps_few_candidates_per_row(self):
+        # the BLAS screen of build_index's blocks, as _rank_block makes it: the
+        # bound from 128 group maxima keeps about 17 per row at k = 16, one
+        # from 32 maxima about 21.6
+        n, k, d, block = 4000, 16, 16, 256
+        E = l2_normalize(np.random.default_rng(16).normal(size=(n, d)))
+        gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
+        kept = 0
+        for start in range(0, n, block):
+            approx = E[start : start + block] @ E.T
+            approx[np.arange(len(approx)), np.arange(start, start + len(approx))] = -np.inf
+            kept += len(_candidates(approx, k, 4 * gamma)[0])
+        assert kept / n <= 1.25 * k, kept / n
+
+    def test_build_index_holds_little_more_than_one_block(self):
+        # one 256 x n float64 BLAS block, and no copy of it for a partition
+        n = 4000
+        X = np.random.default_rng(17).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            build_index(X, 16, block_size=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = 256 * n * 8
+        assert peak <= 1.5 * block_bytes, peak / block_bytes
 
     @pytest.mark.parametrize("d", [1, 3, 16, 17, 64, 256])
     def test_gathered_einsum_rounds_like_the_dense_one(self, d):
