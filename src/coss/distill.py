@@ -93,17 +93,17 @@ def distill(
     student = init_model(
         config.student_spec(input_dim), seed=int(rng.integers(2**31))
     )
-    head = None
+    # the head trains as more layers of one chain that shares the student's Layers
+    chain = student
     if student.output_dim != d_t:
         head = init_projection_head(student.output_dim, d_t, seed=int(rng.integers(2**31)))
+        chain = MlpModel(student.layers + head.layers)
 
     bn = None
     if config.loss_variant == "bn":
         bn = BnParams(np.ones(d_t), np.zeros(d_t), eps=config.bn_eps)
 
-    params = student.parameters()
-    if head is not None:
-        params = params + head.parameters()
+    params = chain.parameters()
     if bn is not None:
         params = params + [bn.gamma, bn.beta_shift]
     opt = SgdState(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
@@ -115,15 +115,13 @@ def distill(
     for epoch in range(config.epochs):
         for anchors in epoch_batches(n, config.batch_size, rng):
             rows = compose_batch(anchors, index, config.k, rng)
-            X_aug = augment(X[rows], config.aug_sigma, rng)
+            # X[rows] is a fresh copy already, and zero noise draws nothing
+            X_aug = augment(X[rows], config.aug_sigma, rng) if config.aug_sigma else X[rows]
             A_t = forward(teacher, X_aug)[0] if dump is None else dump[rows]
 
-            emb_s, cache_s = forward(student, X_aug)
-            if head is not None:
-                A_s, cache_h = forward(head, emb_s)
-            else:
-                A_s = emb_s
-            if not (np.isfinite(A_s).all() and np.isfinite(A_t).all()):
+            A_s, cache = forward(chain, X_aug)
+            # the dump passed as_matrix on entry; a teacher's output may overflow
+            if not (np.isfinite(A_s).all() and (dump is not None or np.isfinite(A_t).all())):
                 raise NumericalError(f"non-finite embeddings at step {global_step}")
 
             l_co, l_ss, l_total, G, bn_grads = objective(A_s, A_t, config, bn)
@@ -131,12 +129,7 @@ def distill(
             if not np.isfinite(l_total):
                 raise NumericalError(f"non-finite loss at step {global_step}")
 
-            if head is not None:
-                head_grads, G = backward(head, cache_h, G)
-            else:
-                head_grads = []
-            student_grads, _ = backward(student, cache_s, G)
-            sgd_step(params, student_grads + head_grads + bn_grads, opt)
+            sgd_step(params, backward(chain, cache, G) + bn_grads, opt)
 
             log.steps.append(
                 StepRecord(epoch=epoch, step=global_step, l_co=l_co, l_ss=l_ss, l_total=l_total)

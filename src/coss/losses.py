@@ -63,15 +63,18 @@ def _neg_cosine_row_grad(ns, S_hat, T_hat, cos) -> np.ndarray:
     guard eps = ``DEFAULT_EPS`` behave as S_i . T_hat / eps, whose exact
     gradient is -T_hat / eps.
     """
-    dns = np.maximum(ns, DEFAULT_EPS)[:, None]
-    proj = np.where((ns > DEFAULT_EPS)[:, None], cos[:, None] * S_hat, 0.0)
-    return -(T_hat - proj) / dns
+    G = cos[:, None] * S_hat
+    G[ns <= DEFAULT_EPS] = 0.0
+    np.subtract(T_hat, G, out=G)
+    G /= -np.maximum(ns, DEFAULT_EPS)[:, None]  # rounds as -(T_hat - G) / dns
+    return G
 
 
 def _space_grad(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     # on the transposed views: C-ordered copies would round differently
     # and move the trained weights
-    return _neg_cosine_row_grad(*_row_cosines(S.T, T.T)).T / S.shape[1]
+    G = _neg_cosine_row_grad(*_row_cosines(S.T, T.T))
+    return np.divide(G, S.shape[1], out=G).T
 
 
 def grad_co(A_s, A_t) -> np.ndarray:
@@ -166,10 +169,13 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     if cfg.loss_variant == "ss_only":
         G, l_total = _space_grad(A_s, A_t), l_ss
     else:
-        G, l_total = _neg_cosine_row_grad(*row) / A_s.shape[0], l_co
+        G, l_total = _neg_cosine_row_grad(*row), l_co
+        G /= A_s.shape[0]
         # lam == 0 goes through the same arithmetic as co_only, so the two
         # stay bit-identical under a shared seed
         if cfg.loss_variant == "coss" and cfg.lam != 0.0:
-            G = G + cfg.lam * _space_grad(A_s, A_t)
+            S = _space_grad(A_s, A_t)
+            G += S if cfg.lam == 1.0 else cfg.lam * S
             l_total = l_co + cfg.lam * l_ss
-    return l_co, l_ss, cfg.beta * l_total, cfg.beta * G, []
+    # a factor of 1.0 is exact, so skipping it changes no bit
+    return l_co, l_ss, cfg.beta * l_total, G if cfg.beta == 1.0 else cfg.beta * G, []

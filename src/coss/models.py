@@ -24,13 +24,12 @@ def _apply_activation(name: str, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _activation_grad(name: str, Y: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (Y > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(Y)
-        return 1.0 - t * t
-    return np.ones_like(Y)
+def _activation_backward(name: str, Y: np.ndarray, G: np.ndarray, own: bool) -> np.ndarray:
+    """``G`` times the activation's derivative at ``Y``, written into ``G`` if ``own``."""
+    if name == "identity":
+        return G
+    deriv = Y > 0.0 if name == "relu" else 1.0 - np.tanh(Y) ** 2
+    return np.multiply(G, deriv, out=G if own else None)
 
 
 @dataclass
@@ -142,18 +141,19 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list]:
         )
     cache = []
     for layer in model.layers:
-        Y = A @ layer.weight.T + layer.bias
+        Y = A @ layer.weight.T
+        Y += layer.bias
         cache.append((A, Y))
         A = _apply_activation(layer.activation, Y)
     return A, cache
 
 
-def backward(model: MlpModel, cache: list, G) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact reverse-mode gradients for the chain.
+def backward(model: MlpModel, cache: list, G) -> list[np.ndarray]:
+    """Exact reverse-mode gradients of the chain's parameters.
 
-    ``G`` is the loss gradient at the model output.  Returns parameter
-    gradients in :meth:`MlpModel.parameters` order plus the gradient with
-    respect to the model input.
+    ``G`` is the loss gradient at the model output; it is left unchanged.
+    Returns them in :meth:`MlpModel.parameters` order.  Nothing reads a
+    gradient for the model input, so none is formed.
     """
     G = np.asarray(G, dtype=np.float64)
     if len(cache) != len(model.layers):
@@ -164,11 +164,12 @@ def backward(model: MlpModel, cache: list, G) -> tuple[list[np.ndarray], np.ndar
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         X_in, Y = cache[i]
-        dY = G * _activation_grad(layer.activation, Y)
+        dY = _activation_backward(layer.activation, Y, G, own=i < len(model.layers) - 1)
         grads[2 * i] = dY.T @ X_in
         grads[2 * i + 1] = dY.sum(axis=0)
-        G = dY @ layer.weight
-    return grads, G
+        if i:
+            G = dY @ layer.weight
+    return grads
 
 
 @dataclass

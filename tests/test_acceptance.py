@@ -76,7 +76,7 @@ def test_1_gradient_oracle_over_random_students():
         cfg = DistillConfig(lam=float(rng.uniform(0.0, 2.0)), beta=float(rng.uniform(0.5, 2.0)))
 
         S, cache = forward(student, X)
-        analytic, _ = backward(student, cache, objective(S, T, cfg)[3])
+        analytic = backward(student, cache, objective(S, T, cfg)[3])
 
         def total(params=student.parameters()):
             out, _ = forward(student, X)

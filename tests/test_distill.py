@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import importlib
+
 import coss.losses as losses_mod
 from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.config import DistillConfig, config_hash
@@ -105,6 +107,28 @@ class TestTrainingLoop:
         assert not calls
         # l_ss is still logged for reporting
         assert all(np.isfinite(rec.l_ss) for rec in log.steps)
+
+    def test_student_and_head_run_one_forward_and_one_backward_per_step(self, monkeypatch):
+        distill_mod = importlib.import_module("coss.distill")  # coss.distill is the function
+        calls = {"forward": 0, "backward": 0}
+        ds, teacher, _, idx = make_setup()
+
+        def spy(name):
+            real = getattr(distill_mod, name)
+
+            def wrapper(model, *args):
+                if model is not teacher:
+                    calls[name] += 1
+                return real(model, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(distill_mod, name, spy(name))
+        cfg = small_config(student_dim=3)  # the teacher is 5 wide: a head is needed
+        student, log = distill(cfg, ds, teacher, idx)
+        assert student.output_dim == 3
+        assert calls == {"forward": len(log.steps), "backward": len(log.steps)}
 
     def test_lambda_zero_matches_co_only_bitwise(self):
         ds, teacher, _, idx = make_setup()

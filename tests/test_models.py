@@ -1,6 +1,7 @@
 """MLP forward/backward correctness and the SGD-with-momentum update rule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,18 +81,18 @@ class TestBackward:
         X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         _, cache = forward(model, X)
-        grads, dX = backward(model, cache, G)
+        grads = backward(model, cache, G)
+        assert len(grads) == 2
         np.testing.assert_array_equal(grads[0], G.T @ X)
         np.testing.assert_array_equal(grads[1], G.sum(axis=0))
-        np.testing.assert_array_equal(dX, G @ W)
 
     def test_zero_output_gradient_gives_zero_parameter_gradients(self):
         model = init_model(MlpSpec((3, 4, 2)), seed=0)
         X = np.random.default_rng(1).normal(size=(5, 3))
         out, cache = forward(model, X)
-        grads, dX = backward(model, cache, np.zeros_like(out))
+        grads = backward(model, cache, np.zeros_like(out))
+        assert len(grads) == 4
         assert all(np.all(g == 0.0) for g in grads)
-        assert np.all(dX == 0.0)
 
     def test_cache_depth_mismatch_rejected(self):
         model = init_model(MlpSpec((3, 2)), seed=0)
@@ -124,7 +125,7 @@ class TestBackward:
 
         S, cache = forward(student, X)
         G = objective(S, T, cfg)[3]
-        analytic, _ = backward(student, cache, G)
+        analytic = backward(student, cache, G)
 
         h = 1e-6
         for p, g in zip(student.parameters(), analytic):
@@ -140,6 +141,114 @@ class TestBackward:
                 p[idx] = orig
                 numeric[idx] = (fp - fm) / (2.0 * h)
             assert_grad_close(g, numeric, rtol=1e-5)
+
+
+def separate_backward(model, cache, G):
+    """Backward as training ran it before the chain: every layer's input
+    gradient is formed, so a head hands ``dY @ W`` on to the student."""
+    grads = [None] * (2 * len(model.layers))
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        X_in, Y = cache[i]
+        if layer.activation == "relu":
+            deriv = (Y > 0.0).astype(np.float64)
+        elif layer.activation == "tanh":
+            t = np.tanh(Y)
+            deriv = 1.0 - t * t
+        else:
+            deriv = np.ones_like(Y)
+        dY = G * deriv
+        grads[2 * i] = dY.T @ X_in
+        grads[2 * i + 1] = dY.sum(axis=0)
+        G = dY @ layer.weight
+    return grads, G
+
+
+class TestChain:
+    """The student and its projection head train as one chain of layers."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("with_head", [True, False])
+    def test_chain_gradients_are_bitwise_the_separate_passes(self, activation, with_head):
+        rng = np.random.default_rng(5)
+        student = init_model(MlpSpec((6, 9, 4 if with_head else 5), hidden_activation=activation),
+                             seed=11)
+        head = init_projection_head(4, 5, seed=12) if with_head else None
+        X = rng.normal(size=(40, 6))
+        T = rng.normal(size=(40, 5))
+
+        emb, cache_s = forward(student, X)
+        A_s, cache_h = forward(head, emb) if with_head else (emb, None)
+        G = objective(A_s, T, DistillConfig(lam=0.7, beta=1.3))[3]
+        head_grads, G_s = separate_backward(head, cache_h, G) if with_head else ([], G)
+        expected = separate_backward(student, cache_s, G_s)[0] + head_grads
+
+        chain = MlpModel(student.layers + head.layers) if with_head else student
+        out, cache = forward(chain, X)
+        assert out.tobytes() == A_s.tobytes()
+        grads = backward(chain, cache, G)
+        assert len(grads) == len(expected)
+        for got, want in zip(grads, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_student_and_head_match_finite_differences(self, activation):
+        rng = np.random.default_rng(8)
+        student = init_model(MlpSpec((5, 6, 3), hidden_activation=activation), seed=4)
+        chain = MlpModel(student.layers + init_projection_head(3, 4, seed=6).layers)
+        X = rng.normal(size=(7, 5))
+        T = rng.normal(size=(7, 4))
+        cfg = DistillConfig(lam=0.6, beta=1.2)
+
+        def total_loss():
+            return objective(forward(chain, X)[0], T, cfg)[2]
+
+        S, cache = forward(chain, X)
+        analytic = backward(chain, cache, objective(S, T, cfg)[3])
+        assert len(analytic) == 6
+        h = 1e-6
+        for p, g in zip(chain.parameters(), analytic):
+            numeric = np.zeros_like(p)
+            it = np.nditer(p, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                orig = p[idx]
+                p[idx] = orig + h
+                fp = total_loss()
+                p[idx] = orig - h
+                fm = total_loss()
+                p[idx] = orig
+                numeric[idx] = (fp - fm) / (2.0 * h)
+            assert_grad_close(g, numeric, rtol=1e-5)
+
+    def test_chain_parameters_are_the_parts_live_views(self):
+        student = init_model(MlpSpec((3, 4, 2)), seed=0)
+        head = init_projection_head(2, 5, seed=1)
+        chain = MlpModel(student.layers + head.layers)
+        for got, part in zip(chain.parameters(), student.parameters() + head.parameters()):
+            assert got is part
+
+    def test_backward_allocates_less_than_a_first_layer_input_gradient(self):
+        # an input gradient of the first layer alone would be 1024 x 256 float64
+        rng = np.random.default_rng(0)
+        model = init_model(MlpSpec((256, 128, 64), hidden_activation="relu"), seed=1)
+        _, cache = forward(model, rng.normal(size=(1024, 256)))
+        G = rng.normal(size=(1024, 64))
+        tracemalloc.start()
+        try:
+            backward(model, cache, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 256 * 8
+
+    def test_caller_gradient_is_not_modified(self):
+        model = init_model(MlpSpec((3, 4, 2), output_activation="tanh"), seed=0)
+        _, cache = forward(model, np.random.default_rng(1).normal(size=(5, 3)))
+        G = np.random.default_rng(2).normal(size=(5, 2))
+        before = G.copy()
+        backward(model, cache, G)
+        np.testing.assert_array_equal(G, before)
 
 
 class TestSgdStep:
