@@ -28,7 +28,6 @@ from .models import (
     backward,
     forward,
     init_model,
-    init_projection_head,
     sgd_step,
 )
 

@@ -23,7 +23,7 @@ from .linalg import as_matrix
 from .losses import BnParams, objective
 # not called here; perfbench --trace 1 wraps these names on this module
 from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
-from .models import MlpModel, SgdState, backward, forward, init_model, init_projection_head, sgd_step
+from .models import MlpModel, MlpSpec, SgdState, backward, forward, init_model, sgd_step
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def distill(
     # the head trains as more layers of one chain that shares the student's Layers
     chain = student
     if student.output_dim != d_t:
-        head = init_projection_head(student.output_dim, d_t, seed=int(rng.integers(2**31)))
+        # one linear layer bridges the student and teacher widths
+        head = init_model(MlpSpec((student.output_dim, d_t)), seed=int(rng.integers(2**31)))
         chain = MlpModel(student.layers + head.layers)
 
     bn = None

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, l2_normalize
+from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, l2_normalize, row_cosines
+from .losses import _check_pair, loss_co
 
 
 def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarray:
@@ -159,20 +160,15 @@ class AlignmentDiagnostics:
 
 
 def alignment_diagnostics(A_s, A_t) -> AlignmentDiagnostics:
-    """Column cosines, column-norm ratios, and the mean per-sample cosine."""
-    S = as_matrix(A_s, "A_s")
-    T = as_matrix(A_t, "A_t")
-    if S.shape != T.shape:
-        raise ValueError("shape mismatch")
-    sn = np.sqrt(np.einsum("ij,ij->j", S, S))
-    tn = np.sqrt(np.einsum("ij,ij->j", T, T))
-    dots = np.einsum("ij,ij->j", S, T)
-    eps = DEFAULT_EPS
-    nonzero = (sn > eps) & (tn > eps)
-    cosines = np.where(nonzero, dots / np.maximum(sn * tn, eps * eps), 0.0)
+    """Column cosines, column-norm ratios, and the mean per-sample cosine.
+
+    The column cosines, clipped to [-1, 1], are the terms whose mean is
+    ``-loss_ss``; ``mean_row_cosine`` is ``-loss_co``.
+    """
+    S, T = _check_pair(A_s, A_t)
+    sn, tn, _, _, cosines = row_cosines(np.ascontiguousarray(S.T), np.ascontiguousarray(T.T))
     np.clip(cosines, -1.0, 1.0, out=cosines)
-    scales = np.where(tn > eps, sn / np.maximum(tn, eps), 0.0)
-    mean_row = float(np.mean(np.einsum("ij,ij->i", l2_normalize(S), l2_normalize(T))))
+    scales = np.where(tn > DEFAULT_EPS, sn / np.maximum(tn, DEFAULT_EPS), 0.0)
     return AlignmentDiagnostics(
-        per_dim_cosine=cosines, per_dim_scale=scales, mean_row_cosine=mean_row
+        per_dim_cosine=cosines, per_dim_scale=scales, mean_row_cosine=-loss_co(S, T)
     )

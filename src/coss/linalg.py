@@ -1,8 +1,9 @@
 """Dense linear-algebra primitives the rest of the package builds on.
 
 All functions operate on 2-D float64 arrays (rows = samples, columns =
-feature dimensions), never mutate their inputs, and reject non-finite
-values at the boundary.  float32 appears only inside the file formats.
+feature dimensions) and never mutate their inputs.  Only ``as_matrix`` and
+``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``.
+float32 appears only inside the file formats.
 """
 
 from __future__ import annotations
@@ -28,21 +29,30 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def row_norms(A: np.ndarray) -> np.ndarray:
-    """L2 norm of every row."""
-    return np.sqrt(np.einsum("ij,ij->i", A, A))
+def unit_rows(A: np.ndarray):
+    """``(norms, A_hat)``: every row's L2 norm and the rows scaled to unit norm.
+
+    Rows whose norm is below ``DEFAULT_EPS`` are divided by it instead, so an
+    all-zero row passes through as zeros.  einsum rounds by memory layout.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    return norms, A / np.maximum(norms, DEFAULT_EPS)[:, None]
+
+
+def row_cosines(S: np.ndarray, T: np.ndarray):
+    """``(ns, nt, S_hat, T_hat, cos)``: ``unit_rows`` of both and each row pair's cosine.
+
+    ``l_co`` averages ``cos`` over the rows of a pair, ``l_ss`` over its transposes.
+    """
+    ns, S_hat = unit_rows(S)
+    nt, T_hat = unit_rows(T)
+    return ns, nt, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
 
 
 def l2_normalize(M) -> np.ndarray:
-    """Scale each row of ``M`` to unit L2 norm.
-
-    Rows whose norm is below ``DEFAULT_EPS`` are divided by it instead, so
-    an all-zero row passes through as zeros instead of erroring.
-    """
-    # einsum rounds differently on other layouts, so a Fortran-ordered copy
-    # of the same rows would rank differently in cosine_top_k
-    A = np.ascontiguousarray(as_matrix(M))
-    return A / np.maximum(row_norms(A)[:, None], DEFAULT_EPS)
+    """Validate ``M`` and scale each row to unit L2 norm (see ``unit_rows``)."""
+    # a Fortran-ordered copy of the same rows would rank differently
+    return unit_rows(np.ascontiguousarray(as_matrix(M)))[1]
 
 
 def _candidates(sims: np.ndarray, k: int, margin: float = 0.0):

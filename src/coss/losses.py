@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, l2_normalize
+from .linalg import DEFAULT_EPS, as_matrix, row_cosines
 
 
 def _check_pair(A_s, A_t):
@@ -34,8 +34,8 @@ def _check_pair(A_s, A_t):
 def loss_co(A_s, A_t) -> float:
     """Negative mean cosine between matching rows of the two matrices."""
     S, T = _check_pair(A_s, A_t)
-    cos = np.einsum("ij,ij->i", l2_normalize(S), l2_normalize(T))
-    return -float(np.mean(cos))
+    # einsum rounds differently on other layouts
+    return -float(np.mean(row_cosines(np.ascontiguousarray(S), np.ascontiguousarray(T))[4]))
 
 
 def loss_ss(A_s, A_t) -> float:
@@ -44,22 +44,10 @@ def loss_ss(A_s, A_t) -> float:
     return loss_co(S.T, T.T)
 
 
-def _row_cosines(S: np.ndarray, T: np.ndarray):
-    """Row norms of S, both row-normalised matrices and each row pair's cosine.
-
-    Rounds exactly as ``l2_normalize`` and the einsum of ``loss_co`` do on
-    the same C-ordered rows.
-    """
-    ns = np.sqrt(np.einsum("ij,ij->i", S, S))
-    S_hat = S / np.maximum(ns, DEFAULT_EPS)[:, None]
-    T_hat = T / np.maximum(np.sqrt(np.einsum("ij,ij->i", T, T)), DEFAULT_EPS)[:, None]
-    return ns, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
-
-
-def _neg_cosine_row_grad(ns, S_hat, T_hat, cos) -> np.ndarray:
+def _neg_cosine_row_grad(ns, nt, S_hat, T_hat, cos) -> np.ndarray:
     """Row-wise gradient of -cosine(S_i, T_i) with respect to S (unaveraged).
 
-    Takes ``_row_cosines``'s output.  Rows of S whose norm is under the
+    Takes ``linalg.row_cosines``'s output.  Rows of S whose norm is under the
     guard eps = ``DEFAULT_EPS`` behave as S_i . T_hat / eps, whose exact
     gradient is -T_hat / eps.
     """
@@ -73,14 +61,14 @@ def _neg_cosine_row_grad(ns, S_hat, T_hat, cos) -> np.ndarray:
 def _space_grad(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     # on the transposed views: C-ordered copies would round differently
     # and move the trained weights
-    G = _neg_cosine_row_grad(*_row_cosines(S.T, T.T))
+    G = _neg_cosine_row_grad(*row_cosines(S.T, T.T))
     return np.divide(G, S.shape[1], out=G).T
 
 
 def grad_co(A_s, A_t) -> np.ndarray:
     """Gradient of the row term with respect to the student matrix."""
     S, T = _check_pair(A_s, A_t)
-    return _neg_cosine_row_grad(*_row_cosines(S, T)) / S.shape[0]
+    return _neg_cosine_row_grad(*row_cosines(S, T)) / S.shape[0]
 
 
 def grad_ss(A_s, A_t) -> np.ndarray:
@@ -157,16 +145,16 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     value is bit-identical to the per-term functions' (``loss_co``,
     ``loss_ss``, ``grad_co``, ``grad_ss``, ``loss_bn``).
     """
-    row = _row_cosines(A_s, A_t)
-    l_co = -float(np.mean(row[3]))
+    row = row_cosines(A_s, A_t)
+    l_co = -float(np.mean(row[4]))
     # loss_ss normalises C-ordered copies of the transposes, which round
     # differently from the views the gradient uses
-    cols = _row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T))
-    l_ss = -float(np.mean(cols[3]))
+    cols = row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T))
+    l_ss = -float(np.mean(cols[4]))
+    bn_grads = []
     if cfg.loss_variant == "bn":
-        l_total, G, d_gamma, d_beta = _bn_terms(A_s, A_t, bn)
-        return l_co, l_ss, l_total, G, [d_gamma, d_beta]
-    if cfg.loss_variant == "ss_only":
+        l_total, G, *bn_grads = _bn_terms(A_s, A_t, bn)
+    elif cfg.loss_variant == "ss_only":
         G, l_total = _space_grad(A_s, A_t), l_ss
     else:
         G, l_total = _neg_cosine_row_grad(*row), l_co
@@ -178,4 +166,7 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
             G += S if cfg.lam == 1.0 else cfg.lam * S
             l_total = l_co + cfg.lam * l_ss
     # a factor of 1.0 is exact, so skipping it changes no bit
-    return l_co, l_ss, cfg.beta * l_total, G if cfg.beta == 1.0 else cfg.beta * G, []
+    if cfg.beta != 1.0:
+        for g in [G] + bn_grads:
+            g *= cfg.beta
+    return l_co, l_ss, cfg.beta * l_total, G, bn_grads

@@ -127,11 +127,6 @@ def init_model(spec: MlpSpec, seed: int) -> MlpModel:
     return MlpModel(layers)
 
 
-def init_projection_head(d_in: int, d_out: int, seed: int) -> MlpModel:
-    """Single linear layer used to bridge student and teacher widths."""
-    return init_model(MlpSpec((d_in, d_out), output_activation="identity"), seed)
-
-
 def forward(model: MlpModel, X) -> tuple[np.ndarray, list]:
     """Run the affine+activation chain; the cache feeds :func:`backward`."""
     A = as_matrix(X, "X")

@@ -21,7 +21,7 @@ from coss.evaluate import (
     recall_at_k,
 )
 from coss.knn import build_index
-from coss.losses import loss_co
+from coss.losses import loss_co, loss_ss
 
 from conftest import brute_cosine, distinct_directions
 
@@ -367,11 +367,17 @@ class TestAlignmentDiagnostics:
         np.testing.assert_allclose(diag.per_dim_scale, [2.0, 5.0], rtol=1e-12)
 
     def test_mean_row_cosine_is_negated_row_loss(self):
-        rng = np.random.default_rng(4)
-        S = rng.normal(size=(7, 5))
-        T = rng.normal(size=(7, 5))
-        diag = alignment_diagnostics(S, T)
-        assert diag.mean_row_cosine == pytest.approx(-loss_co(S, T), abs=1e-14)
+        # and the per-dimension cosines are the terms -loss_ss averages, bit for bit
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            shape = (int(rng.integers(8, 40)), int(rng.integers(1, 17)))
+            S = rng.normal(size=shape) * rng.uniform(0.01, 100.0, size=(shape[0], 1))
+            T = rng.normal(size=shape)
+            diag = alignment_diagnostics(S, T)
+            # independent columns: no cosine comes near the clip at +-1
+            assert np.all(np.abs(diag.per_dim_cosine) < 0.999)
+            assert diag.mean_row_cosine == -loss_co(S, T)
+            assert float(np.mean(diag.per_dim_cosine)) == -loss_ss(S, T)
 
     def test_zero_columns_report_zero(self):
         S = np.array([[0.0, 1.0], [0.0, 2.0]])

@@ -263,7 +263,7 @@ def per_term(S, T, cfg, bn):
     l_co, l_ss = loss_co(S, T), loss_ss(S, T)
     if cfg.loss_variant == "bn":
         l_total, G, d_gamma, d_beta = loss_bn(S, T, bn)
-        return l_co, l_ss, l_total, G, [d_gamma, d_beta]
+        return l_co, l_ss, cfg.beta * l_total, cfg.beta * G, [cfg.beta * d_gamma, cfg.beta * d_beta]
     if cfg.loss_variant == "ss_only":
         return l_co, l_ss, cfg.beta * l_ss, cfg.beta * grad_ss(S, T), []
     if cfg.loss_variant == "coss" and cfg.lam != 0.0:
@@ -310,3 +310,9 @@ class TestObjective:
         bn = BnParams(rng.normal(size=cols), rng.normal(size=cols), eps=cfg.bn_eps)
         got = objective(S, T, cfg, bn if variant == "bn" else None)
         assert bits(got) == bits(per_term(S, T, cfg, bn))
+
+    def test_bn_is_scaled_by_beta(self):
+        S, T = random_pair(7, shape=(6, 3))
+        cfg = DistillConfig(loss_variant="bn", beta=1.3)
+        bn = BnParams(np.ones(3), np.zeros(3), eps=cfg.bn_eps)
+        assert objective(S, T, cfg, bn)[2] == 1.3 * loss_bn(S, T, bn)[0]

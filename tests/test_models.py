@@ -19,7 +19,6 @@ from coss.models import (
     backward,
     forward,
     init_model,
-    init_projection_head,
     sgd_step,
 )
 
@@ -173,7 +172,7 @@ class TestChain:
         rng = np.random.default_rng(5)
         student = init_model(MlpSpec((6, 9, 4 if with_head else 5), hidden_activation=activation),
                              seed=11)
-        head = init_projection_head(4, 5, seed=12) if with_head else None
+        head = init_model(MlpSpec((4, 5)), seed=12) if with_head else None
         X = rng.normal(size=(40, 6))
         T = rng.normal(size=(40, 5))
 
@@ -195,7 +194,7 @@ class TestChain:
     def test_student_and_head_match_finite_differences(self, activation):
         rng = np.random.default_rng(8)
         student = init_model(MlpSpec((5, 6, 3), hidden_activation=activation), seed=4)
-        chain = MlpModel(student.layers + init_projection_head(3, 4, seed=6).layers)
+        chain = MlpModel(student.layers + init_model(MlpSpec((3, 4)), seed=6).layers)
         X = rng.normal(size=(7, 5))
         T = rng.normal(size=(7, 4))
         cfg = DistillConfig(lam=0.6, beta=1.2)
@@ -223,7 +222,7 @@ class TestChain:
 
     def test_chain_parameters_are_the_parts_live_views(self):
         student = init_model(MlpSpec((3, 4, 2)), seed=0)
-        head = init_projection_head(2, 5, seed=1)
+        head = init_model(MlpSpec((2, 5)), seed=1)
         chain = MlpModel(student.layers + head.layers)
         for got, part in zip(chain.parameters(), student.parameters() + head.parameters()):
             assert got is part
@@ -309,7 +308,8 @@ class TestInit:
         assert [l.activation for l in model.layers] == ["tanh", "tanh", "identity"]
 
     def test_projection_head_is_single_linear_layer(self):
-        head = init_projection_head(3, 5, seed=2)
+        # the head distill bridges widths with: the default output is linear
+        head = init_model(MlpSpec((3, 5)), seed=2)
         assert len(head.layers) == 1
         assert head.layers[0].activation == "identity"
         assert (head.input_dim, head.output_dim) == (3, 5)
