@@ -20,7 +20,8 @@ from .config import DistillConfig, config_hash, load_config, render_config
 from .data import Dataset
 from .distill import ABLATION_GRIDS, ablate, distill, teacher_embeddings
 from .errors import ConfigError, FormatError, NumericalError
-from .evaluate import alignment_diagnostics, holdout_knn_accuracy, holdout_split, linear_probe, recall_at_k
+from .evaluate import (alignment_diagnostics, check_k_eval, holdout_knn_accuracy, holdout_split,
+                       knn_classify, linear_probe, recall_at_k)
 from .knn import build_index
 from .models import forward
 
@@ -177,10 +178,13 @@ def cmd_ablate(args) -> int:
     labels = _require_labels(dataset, f"ablate --grid {args.grid}")
     teacher = _load_teacher(args.teacher)
     index = io.read_index(args.index)
+    # a bad seed or k_eval would otherwise fail only after the first run trained
+    train_idx, test_idx = holdout_split(len(labels), args.split_seed)
+    check_k_eval(args.k_eval)
 
     def eval_fn(student):
         emb, _ = forward(student, dataset.inputs)
-        return holdout_knn_accuracy(emb, labels, args.split_seed, args.k_eval)
+        return knn_classify(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], args.k_eval)
 
     rows = ablate(cfg, dataset.without_labels(), teacher, index, eval_fn, args.grid)
     key_col = ABLATION_GRIDS[args.grid][0]

@@ -1,8 +1,10 @@
 """Run configuration: defaults, validation, INI round-trip, stable hashing.
 
-Every key has a default; only data paths (which live on the command line,
-not in the file) are mandatory.  Validation failures name the violated
-invariant so the CLI can surface it verbatim.
+``DistillConfig`` declares every setting once: the INI keys and their
+kinds, the render order and the hash all come from its fields.  Every key
+has a default; only data paths (which live on the command line, not in the
+file) are mandatory.  Validation failures name the violated invariant so
+the CLI can surface it verbatim.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
 from .models import ACTIVATIONS, MlpSpec
@@ -47,12 +49,24 @@ class DistillConfig:
         return replace(self, **kwargs)
 
 
+# Each field's INI (section, key): [distill] and the field's name, except the
+# four renamed here.  The type of a field's default is the kind it parses as.
+_KEYS = {f.name: ("distill", f.name) for f in fields(DistillConfig)} | {
+    "lam": ("distill", "lambda"),
+    "student_hidden": ("student", "hidden_dims"),
+    "student_dim": ("student", "output_dim"),
+    "student_activation": ("student", "activation"),
+}
+_FIELD_AT = {_KEYS[f.name]: f for f in fields(DistillConfig)}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS.values()))
+
+
 def validate_config(cfg: DistillConfig) -> None:
     """Raise ConfigError naming the first violated invariant."""
     # NaN passes every comparison below, and training checks no value again
-    for key, name in _DISTILL_KEYS.items():
-        if name not in _INT_FIELDS | _STR_FIELDS and not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{key} must be finite")
+    for f in fields(cfg):
+        if type(f.default) is float and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{_KEYS[f.name][1]} must be finite")
     if cfg.lam < 0:
         raise ConfigError("lambda ≥ 0")
     if cfg.beta <= 0:
@@ -89,44 +103,15 @@ def validate_config(cfg: DistillConfig) -> None:
         raise ConfigError(f"student activation ∈ {set(ACTIVATIONS)}")
 
 
-# config-file key -> dataclass field, per section
-_DISTILL_KEYS = {
-    "lambda": "lam",
-    "beta": "beta",
-    "k": "k",
-    "pool": "pool",
-    "batch_size": "batch_size",
-    "epochs": "epochs",
-    "lr": "lr",
-    "momentum": "momentum",
-    "weight_decay": "weight_decay",
-    "aug_sigma": "aug_sigma",
-    "seed": "seed",
-    "loss_variant": "loss_variant",
-    "bn_eps": "bn_eps",
-}
-_STUDENT_KEYS = {
-    "hidden_dims": "student_hidden",
-    "output_dim": "student_dim",
-    "activation": "student_activation",
-}
-
-_INT_FIELDS = {"k", "pool", "batch_size", "epochs", "seed", "student_dim"}
-_STR_FIELDS = {"loss_variant", "student_activation"}
-
-
-def _parse_value(field_name: str, raw: str):
+def _parse_value(f, raw: str):
     raw = raw.strip()
+    kind = type(f.default)
     try:
-        if field_name == "student_hidden":
+        if kind is tuple:
             return tuple(int(part) for part in raw.split(",") if part.strip())
-        if field_name in _STR_FIELDS:
-            return raw
-        if field_name in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {field_name}: {raw!r}") from exc
+        raise ConfigError(f"cannot parse {f.name}: {raw!r}") from exc
 
 
 def parse_config_text(text: str) -> DistillConfig:
@@ -136,15 +121,16 @@ def parse_config_text(text: str) -> DistillConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     overrides = {}
-    for section, keymap in (("distill", _DISTILL_KEYS), ("student", _STUDENT_KEYS)):
+    for section in _SECTIONS:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            if key not in keymap:
+            f = _FIELD_AT.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            overrides[keymap[key]] = _parse_value(keymap[key], raw)
+            overrides[f.name] = _parse_value(f, raw)
     for section in parser.sections():
-        if section not in ("distill", "student"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
     cfg = DistillConfig(**overrides)
     validate_config(cfg)
@@ -159,27 +145,21 @@ def load_config(path) -> DistillConfig:
 def render_config(cfg: DistillConfig) -> str:
     """Canonical INI text; identical configs render byte-identically."""
     parser = configparser.ConfigParser()
-    parser.add_section("distill")
-    for key, name in _DISTILL_KEYS.items():
-        value = getattr(cfg, name)
-        parser.set("distill", key, value if isinstance(value, str) else repr(value))
-    parser.add_section("student")
-    parser.set("student", "hidden_dims", ",".join(str(h) for h in cfg.student_hidden))
-    parser.set("student", "output_dim", repr(cfg.student_dim))
-    parser.set("student", "activation", cfg.student_activation)
+    for f in fields(cfg):
+        section, key = _KEYS[f.name]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        value = getattr(cfg, f.name)
+        if type(f.default) is tuple:
+            value = ",".join(str(h) for h in value)
+        parser.set(section, key, value if isinstance(value, str) else repr(value))
     buf = _stdio.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def config_dict(cfg: DistillConfig) -> dict:
-    d = {f.name: getattr(cfg, f.name) for f in fields(DistillConfig)}
-    d["student_hidden"] = list(cfg.student_hidden)
-    return d
-
-
 def config_hash(cfg: DistillConfig, exclude: tuple[str, ...] = ()) -> str:
     """SHA-256 over a canonical JSON form; stable under key reordering."""
-    d = {k: v for k, v in config_dict(cfg).items() if k not in exclude}
+    d = {k: v for k, v in asdict(cfg).items() if k not in exclude}
     blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

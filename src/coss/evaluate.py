@@ -10,8 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, l2_normalize, row_cosines
+from .linalg import DEFAULT_EPS, as_matrix, column_cosines, cosine_top_k, l2_normalize
 from .losses import _check_pair, loss_co
+
+
+def check_k_eval(k_eval: int) -> None:
+    """Raise ValueError unless ``knn_predict`` can vote among ``k_eval`` neighbours."""
+    if k_eval < 1:
+        raise ValueError("k_eval ≥ 1")
 
 
 def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarray:
@@ -20,8 +26,7 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     Neighbour ties break toward the lower train index, vote ties toward
     the lower class id.
     """
-    if k_eval < 1:
-        raise ValueError("k_eval ≥ 1")
+    check_k_eval(k_eval)
     if np.asarray(train_emb, dtype=np.float64).shape[0] == 0:
         raise ValueError("empty train set")
     E = l2_normalize(train_emb)
@@ -166,7 +171,7 @@ def alignment_diagnostics(A_s, A_t) -> AlignmentDiagnostics:
     ``-loss_ss``; ``mean_row_cosine`` is ``-loss_co``.
     """
     S, T = _check_pair(A_s, A_t)
-    sn, tn, _, _, cosines = row_cosines(np.ascontiguousarray(S.T), np.ascontiguousarray(T.T))
+    sn, tn, _, _, cosines = column_cosines(S, T)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     scales = np.where(tn > DEFAULT_EPS, sn / np.maximum(tn, DEFAULT_EPS), 0.0)
     return AlignmentDiagnostics(

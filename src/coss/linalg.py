@@ -49,6 +49,14 @@ def row_cosines(S: np.ndarray, T: np.ndarray):
     return ns, nt, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
 
 
+def column_cosines(S: np.ndarray, T: np.ndarray):
+    """``row_cosines`` of the columns of ``S`` and ``T``: the terms ``l_ss`` averages.
+
+    Runs on C-ordered copies of the transposes, as einsum rounds by memory layout.
+    """
+    return row_cosines(np.ascontiguousarray(S.T), np.ascontiguousarray(T.T))
+
+
 def l2_normalize(M) -> np.ndarray:
     """Validate ``M`` and scale each row to unit L2 norm (see ``unit_rows``)."""
     # a Fortran-ordered copy of the same rows would rank differently

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, row_cosines
+from .linalg import DEFAULT_EPS, as_matrix, column_cosines, row_cosines
 
 
 def _check_pair(A_s, A_t):
@@ -40,8 +40,7 @@ def loss_co(A_s, A_t) -> float:
 
 def loss_ss(A_s, A_t) -> float:
     """Negative mean cosine between matching columns; equals the row loss on transposes."""
-    S, T = _check_pair(A_s, A_t)
-    return loss_co(S.T, T.T)
+    return -float(np.mean(column_cosines(*_check_pair(A_s, A_t))[4]))
 
 
 def _neg_cosine_row_grad(ns, nt, S_hat, T_hat, cos) -> np.ndarray:
@@ -147,10 +146,9 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     """
     row = row_cosines(A_s, A_t)
     l_co = -float(np.mean(row[4]))
-    # loss_ss normalises C-ordered copies of the transposes, which round
-    # differently from the views the gradient uses
-    cols = row_cosines(np.ascontiguousarray(A_s.T), np.ascontiguousarray(A_t.T))
-    l_ss = -float(np.mean(cols[4]))
+    # column_cosines normalises C-ordered copies of the transposes, which
+    # round differently from the views the gradient uses
+    l_ss = -float(np.mean(column_cosines(A_s, A_t)[4]))
     bn_grads = []
     if cfg.loss_variant == "bn":
         l_total, G, *bn_grads = _bn_terms(A_s, A_t, bn)

@@ -335,7 +335,7 @@ class TestEval:
 
 
 class TestAblate:
-    def run_grid(self, workspace, grid, out_name):
+    def run_grid(self, workspace, grid, out_name, *extra):
         report = workspace["root"] / out_name
         code = main(
             [
@@ -346,9 +346,26 @@ class TestAblate:
                 "--index", str(workspace["index"]),
                 "--grid", grid,
                 "--out", str(report),
+                *extra,
             ]
         )
         return code, report
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--k-eval", "0", "k_eval ≥ 1"), ("--split-seed", "-1", "expected non-negative integer")],
+    )
+    def test_bad_eval_arguments_fail_before_training(
+        self, workspace, capsys, monkeypatch, flag, value, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate ran before its eval arguments were checked")
+
+        monkeypatch.setattr(coss.cli, "ablate", no_training)
+        code, report = self.run_grid(workspace, "components", "bad.tsv", flag, value)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not report.exists()
 
     def test_component_grid_prints_three_rows(self, workspace, capsys):
         code, report = self.run_grid(workspace, "components", "comp.tsv")

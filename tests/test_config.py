@@ -1,8 +1,11 @@
 """Config defaults, validation messages, INI round-trip, and stable hashing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coss.config import (
+    LOSS_VARIANTS,
     DistillConfig,
     config_hash,
     load_config,
@@ -11,6 +14,7 @@ from coss.config import (
     validate_config,
 )
 from coss.errors import ConfigError
+from coss.models import ACTIVATIONS
 
 
 class TestDefaults:
@@ -129,7 +133,45 @@ class TestParse:
         assert load_config(path).seed == 9
 
 
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that pass ``validate_config``, every field drawn."""
+    pool = draw(st.integers(1, 10**6))
+    k = draw(st.integers(0, pool))
+    variant = draw(st.sampled_from(LOSS_VARIANTS))
+    return DistillConfig(
+        lam=draw(_floats(min_value=0.0)),
+        beta=draw(_floats(min_value=0.0, exclude_min=True)),
+        k=k,
+        pool=pool,
+        batch_size=draw(st.integers(2 if variant == "bn" and k == 0 else 1, 10**6)),
+        epochs=draw(st.integers(1, 10**6)),
+        lr=draw(_floats(min_value=0.0)),
+        momentum=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        weight_decay=draw(_floats(min_value=0.0)),
+        aug_sigma=draw(_floats(min_value=0.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        loss_variant=variant,
+        bn_eps=draw(_floats(min_value=0.0, exclude_min=True)),
+        student_hidden=tuple(draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4))),
+        student_dim=draw(st.integers(1, 4096)),
+        student_activation=draw(st.sampled_from(ACTIVATIONS)),
+    )
+
+
 class TestRenderRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_every_valid_config_round_trips(self, cfg):
+        back = parse_config_text(render_config(cfg))
+        assert back == cfg
+        # 1 == 1.0, but the hash tells an int from a float
+        assert config_hash(back) == config_hash(cfg)
+
     def test_render_parse_identity(self):
         cfg = DistillConfig(lam=0.25, k=2, pool=5, student_hidden=(12, 6))
         assert parse_config_text(render_config(cfg)) == cfg

@@ -1,5 +1,6 @@
-"""The README's command-line quick start runs as written, and its lists of
-subcommands and scripts match what exists."""
+"""The README's command-line quick start runs as written, its lists of
+subcommands and scripts match what exists, and its config file is the one
+``render_config`` writes."""
 
 import argparse
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 from coss.cli import build_parser
+from coss.config import DistillConfig, render_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -57,3 +59,11 @@ def test_every_documented_command_parses():
     assert len(lines) >= 8
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])  # SystemExit on an unknown option
+
+
+def test_config_file_block_is_the_rendered_default():
+    section = README.split("## Config file", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert block == render_config(DistillConfig())
+    keys = re.findall(r"^\* `(\w+)`:", section.split("## ", 1)[0], flags=re.M)
+    assert keys == re.findall(r"^(\w+) = ", block, flags=re.M)
