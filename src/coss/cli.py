@@ -42,7 +42,26 @@ def _load_teacher(path):
     raise FormatError("bad magic")
 
 
+def _check_out(path, directory: bool = False) -> None:
+    """Fail before any work if ``--out`` can never be written.
+
+    A file's parent must be a directory, and so must the nearest existing
+    ancestor of an output directory, which is made only after training.
+    """
+    head = os.path.abspath(path)
+    if directory:
+        while not os.path.lexists(head):
+            head = os.path.dirname(head)
+    elif os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    else:
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(f"--out {path}: {head} is not a directory")
+
+
 def cmd_precompute(args) -> int:
+    _check_out(args.out)
     dataset = io.read_dataset(args.data)
     emb = teacher_embeddings(_load_teacher(args.teacher), dataset.inputs)
     t0 = time.perf_counter()
@@ -67,13 +86,7 @@ def _require_labels(dataset: Dataset, suite: str) -> np.ndarray:
 
 
 def cmd_distill(args) -> int:
-    # --out is made only after training, so that a rejected run leaves no
-    # directory behind; a path that can never become one fails up front
-    head = os.path.abspath(args.out)
-    while not os.path.lexists(head):
-        head = os.path.dirname(head)
-    if not os.path.isdir(head):
-        raise NotADirectoryError(f"--out {args.out}: {head} is not a directory")
+    _check_out(args.out, directory=True)
     cfg = load_config(args.config)
     dataset = io.read_dataset(args.data)
     teacher = _load_teacher(args.teacher)
@@ -110,6 +123,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     dataset = io.read_dataset(args.data)
     student = io.read_model(args.student)
     emb, _ = forward(student, dataset.inputs)
@@ -122,15 +136,8 @@ def cmd_eval(args) -> int:
     elif args.suite == "probe":
         labels = _require_labels(dataset, args.suite)
         train_idx, test_idx = holdout_split(dataset.n, args.split_seed)
-        acc = linear_probe(
-            emb[train_idx],
-            labels[train_idx],
-            emb[test_idx],
-            labels[test_idx],
-            epochs=args.epochs,
-            lr=args.lr,
-            seed=args.split_seed,
-        )
+        acc = linear_probe(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx],
+                           epochs=args.epochs, lr=args.lr, seed=args.split_seed)
         records += [("epochs", args.epochs), ("accuracy", acc)]
     elif args.suite == "retrieval":
         labels = _require_labels(dataset, args.suite)
@@ -173,6 +180,7 @@ def _render_table(rows: list[dict], columns: list[str]) -> str:
 
 
 def cmd_ablate(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     dataset = io.read_dataset(args.data)
     labels = _require_labels(dataset, f"ablate --grid {args.grid}")

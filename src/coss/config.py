@@ -100,7 +100,7 @@ def validate_config(cfg: DistillConfig) -> None:
     if cfg.student_dim < 1:
         raise ConfigError("student output_dim ≥ 1")
     if cfg.student_activation not in ACTIVATIONS:
-        raise ConfigError(f"student activation ∈ {set(ACTIVATIONS)}")
+        raise ConfigError(f"student activation ∈ {{{', '.join(ACTIVATIONS)}}}")
 
 
 def _parse_value(f, raw: str):
@@ -115,7 +115,7 @@ def _parse_value(f, raw: str):
 
 
 def parse_config_text(text: str) -> DistillConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -144,7 +144,7 @@ def load_config(path) -> DistillConfig:
 
 def render_config(cfg: DistillConfig) -> str:
     """Canonical INI text; identical configs render byte-identically."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for f in fields(cfg):
         section, key = _KEYS[f.name]
         if not parser.has_section(section):

@@ -77,8 +77,8 @@ def distill(
     n, input_dim = X.shape
     if index.n != n:
         raise ValueError("index/dataset size mismatch")
-    if config.k > index.pool:
-        raise ConfigError("k ≤ pool")
+    if config.pool != index.pool:
+        raise ConfigError(f"config pool {config.pool} ≠ index pool {index.pool}")
     last_rows = (n % config.batch_size or config.batch_size) * (1 + config.k)
     if config.loss_variant == "bn" and last_rows < 2:
         raise ConfigError(f"bn needs ≥ 2 rows per batch, the epoch's last batch has {last_rows}")
@@ -153,14 +153,8 @@ ABLATION_GRIDS = {
 }
 
 
-def ablate(
-    base_config: DistillConfig,
-    dataset: Dataset,
-    teacher,
-    index: NeighborIndex,
-    eval_fn,
-    grid: str,
-) -> list[dict]:
+def ablate(base_config: DistillConfig, dataset: Dataset, teacher, index: NeighborIndex,
+           eval_fn, grid: str) -> list[dict]:
     """Train one student per run of ``ABLATION_GRIDS[grid]``, everything else fixed.
 
     ``eval_fn(student)`` scores each trained student (typically k-NN

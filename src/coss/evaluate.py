@@ -75,15 +75,8 @@ def holdout_knn_accuracy(emb, labels, seed: int, k_eval: int) -> float:
     return knn_classify(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k_eval)
 
 
-def linear_probe(
-    train_emb,
-    train_labels,
-    test_emb,
-    test_labels,
-    epochs: int = 200,
-    lr: float = 0.5,
-    seed: int = 0,
-) -> float:
+def linear_probe(train_emb, train_labels, test_emb, test_labels, epochs: int = 200,
+                 lr: float = 0.5, seed: int = 0) -> float:
     """Softmax regression on frozen embeddings, trained by full-batch GD.
 
     Deterministic for a fixed seed; returns test accuracy.
@@ -102,8 +95,7 @@ def linear_probe(
     n, d = X.shape
     C = classes.size
 
-    ones = np.ones((n, 1))
-    Xb = np.hstack([X, ones])
+    Xb = np.hstack([X, np.ones((n, 1))])
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(d + 1, C))
     onehot = np.zeros((n, C))
@@ -122,14 +114,8 @@ def linear_probe(
     return float(np.mean(pred == truth))
 
 
-def recall_at_k(
-    query_emb,
-    gallery_emb,
-    query_labels,
-    gallery_labels,
-    K: int = 1,
-    exclude_self: bool = False,
-) -> float:
+def recall_at_k(query_emb, gallery_emb, query_labels, gallery_labels, K: int = 1,
+                exclude_self: bool = False) -> float:
     """Fraction of queries whose top-K cosine hits contain a same-label item.
 
     With ``exclude_self`` the query and gallery must be the same set; hit i

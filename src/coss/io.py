@@ -78,7 +78,8 @@ os.umask(_UMASK)
 
 
 def atomic_write(path, blob: bytes) -> None:
-    """Write to a fresh temp file in the same directory, fsync it, then rename into place.
+    """Write to a fresh temp file in the same directory, fsync it, rename it into place
+    and fsync the directory.
 
     Every call gets its own temp name, so concurrent writers of one path
     never share a temp file, and the temp file is removed if the write fails.
@@ -97,6 +98,11 @@ def atomic_write(path, blob: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory or ".", os.O_RDONLY)  # or a crash can lose the rename
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read_file(path) -> bytes:

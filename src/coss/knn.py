@@ -49,7 +49,7 @@ class NeighborIndex:
         )
 
 
-def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
+def build_index(teacher_emb, pool: int) -> NeighborIndex:
     """Rank every sample's ``pool`` nearest others by teacher cosine similarity.
 
     Ties are broken by lower sample index; a sample never appears in its
@@ -65,7 +65,7 @@ def build_index(teacher_emb, pool: int, block_size: int = 256) -> NeighborIndex:
         raise ValueError("pool ≥ 1")
     if pool >= n:
         raise ValueError("pool too large")
-    blocks = cosine_top_k(E, E, pool, exclude_self=True, block_rows=block_size)
+    blocks = cosine_top_k(E, E, pool, exclude_self=True)
     return NeighborIndex(n=n, pool=pool, neighbors=np.concatenate([top for _, top in blocks]))
 
 

@@ -7,10 +7,12 @@ fixed after oracle runs and act as regression bounds from then on.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import coss.linalg
 from coss.benchmark import (
     benchmark_config,
     make_benchmark_dataset,
@@ -170,7 +172,8 @@ def test_4_neighbour_index_matches_brute_force():
             emb[j] = 2.0 * emb[(j + 1) % n]
         pool = int(rng.integers(1, n))
         block = int(rng.choice([5, 256]))
-        index = build_index(emb, pool, block_size=block)
+        with mock.patch.object(coss.linalg, "BLOCK_ROWS", block):
+            index = build_index(emb, pool)
         assert np.array_equal(index.neighbors, brute_topk_neighbors(emb, pool))
     _verdict(4, "neighbour index equals brute force", time.perf_counter() - t0)
 

@@ -200,6 +200,22 @@ class TestDistill:
         assert "last batch has 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line", ["loss_variant = co%only", "epochs = %(x)s"])
+    def test_percent_sign_is_a_usage_error(self, workspace, capsys, line):
+        workspace["config"].write_text(f"[distill]\n{line}\n", encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_pool_other_than_the_index_pool_is_a_usage_error(self, workspace, capsys):
+        # the workspace index has pool 2
+        workspace["config"].write_text(CONFIG_TEXT.replace("pool = 2", "pool = 3"), encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert "config pool 3 ≠ index pool 2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_dump_teacher_of_wrong_size_is_a_data_error(self, workspace, capsys):
         dump = read_dataset(workspace["dump"])
         write_dataset(workspace["dump"], Dataset(dump.inputs[:-1]))
@@ -472,6 +488,33 @@ class TestExitCodes:
         assert "is not a directory" in capsys.readouterr().err
         assert calls == []
         assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command,stage", [
+        ("precompute", "build_index"), ("eval", "forward"), ("ablate", "ablate"),
+    ])
+    def test_unwritable_file_out_fails_before_any_work(
+        self, workspace, capsys, monkeypatch, command, stage
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(coss.cli, stage, no_work)
+        afile = workspace["root"] / "afile"
+        afile.write_text("keep\n")
+        w = {key: str(path) for key, path in workspace.items()}
+        extra = {
+            "precompute": ["--teacher", w["teacher"], "--pool", "2"],
+            "eval": ["--student", w["teacher"], "--suite", "knn"],
+            "ablate": ["--config", w["config"], "--teacher", w["teacher"], "--index", w["index"],
+                       "--grid", "components"],
+        }[command]
+        code = main([command, "--data", w["data"], *extra, "--out", str(afile / "x.tsv")])
+        assert code == 3
+        assert f"--out {afile / 'x.tsv'}: {afile} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "keep\n"
+        code = main([command, "--data", w["data"], *extra, "--out", w["root"]])
+        assert code == 3
+        assert f"--out {w['root']} is a directory" in capsys.readouterr().err
 
     def test_eval_report_under_a_file_is_a_data_error(self, workspace, capsys):
         afile = workspace["root"] / "afile"

@@ -119,6 +119,20 @@ class TestParse:
         with pytest.raises(ConfigError, match="malformed config"):
             parse_config_text("lr = 0.1\n")  # key before any section header
 
+    @pytest.mark.parametrize("line,message", [
+        ("loss_variant = co%only", "loss_variant ∈"),
+        ("epochs = %(x)s", "cannot parse epochs"),
+        ("loss_variant = co%%only", "loss_variant ∈"),
+    ])
+    def test_percent_signs_are_plain_text(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"[distill]\n{line}\n")
+
+    def test_activation_message_lists_the_names_in_order(self):
+        with pytest.raises(ConfigError) as info:
+            validate_config(DistillConfig(student_activation="gelu"))
+        assert str(info.value) == "student activation ∈ {identity, relu, tanh}"
+
     def test_unparseable_value_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse k"):
             parse_config_text("[distill]\nk = 4.5\n")

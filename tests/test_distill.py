@@ -250,6 +250,11 @@ class TestTeacherSources:
         with pytest.raises(ValueError, match="teacher dump size does not match dataset"):
             distill(small_config(aug_sigma=0.0), ds, T[:-1], idx)
 
+    def test_config_pool_must_be_the_index_pool(self):
+        ds, teacher, _, idx = make_setup(pool=4)
+        with pytest.raises(ConfigError, match="config pool 3 ≠ index pool 4"):
+            distill(small_config(pool=3), ds, teacher, idx)
+
     def test_index_size_must_match(self):
         ds, teacher, T, _ = make_setup()
         small_idx = build_index(T[:-2], pool=4)

@@ -246,6 +246,14 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"second"
 
+    def test_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+        replace, fsync = os.replace, os.fsync
+        monkeypatch.setattr(os, "replace", lambda src, dst: (calls.append("replace"), replace(src, dst)))
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(os.fstat(fd).st_ino), fsync(fd)))
+        atomic_write(tmp_path / "demo.bin", b"x")
+        assert calls == [(tmp_path / "demo.bin").stat().st_ino, "replace", tmp_path.stat().st_ino]
+
     def test_file_mode_is_that_of_open(self, tmp_path):
         atomic_write(tmp_path / "a.bin", b"x")
         with open(tmp_path / "b.bin", "wb") as fh:

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coss.linalg
 from conftest import brute_topk_neighbors, distinct_directions
 from coss import io
 from coss.knn import NeighborIndex, build_index, sample_neighbors
@@ -47,17 +50,20 @@ class TestBuildIndex:
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
-    def test_ties_across_blocks_match_brute_force(self, seed, n, block_size):
+    def test_ties_across_blocks_match_brute_force(self, seed, n, rows_per_block):
         rng = np.random.default_rng(seed)
         # copies of a few distinct rows, so most rows have exact duplicates
         emb = distinct_directions(4, 2, rng)[rng.integers(0, 4, size=n)]
         pool = min(5, n - 1)
-        idx = build_index(emb, pool, block_size=block_size)
+        with mock.patch.object(coss.linalg, "BLOCK_ROWS", rows_per_block):
+            idx = build_index(emb, pool)
         np.testing.assert_array_equal(idx.neighbors, brute_topk_neighbors(emb, pool))
 
-    def test_blockwise_matches_dense(self):
+    def test_blockwise_matches_dense(self, monkeypatch):
         emb = np.random.default_rng(11).normal(size=(40, 6))
-        assert build_index(emb, 5, block_size=7) == build_index(emb, 5, block_size=4096)
+        dense = build_index(emb, 5)  # one block
+        monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 7)
+        assert build_index(emb, 5) == dense
 
 
 class TestNeighborIndexInvariants:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coss.linalg
 from coss.knn import build_index
 from coss.linalg import UNIT_ROUNDOFF, _candidates, cosine_top_k, l2_normalize, top_k
 
@@ -125,28 +126,31 @@ def ranked(Q, G, k, **kwargs):
 
 
 class TestCosineTopK:
-    def test_block_rows_never_change_the_ranking(self):
+    def test_block_rows_never_change_the_ranking(self, monkeypatch):
         rng = np.random.default_rng(7)
         base = l2_normalize(rng.integers(-4, 5, size=(6, 3)).astype(float))
         Q = base[rng.integers(0, 6, size=40)]
         G = base[rng.integers(0, 6, size=25)]
-        dense = ranked(Q, G, 5, block_rows=len(Q))
-        for block_rows in (1, 2, 3, 7, 39):
-            np.testing.assert_array_equal(ranked(Q, G, 5, block_rows=block_rows), dense)
+        dense = ranked(Q, G, 5)  # one block
+        for rows in (1, 2, 3, 7, 39):
+            monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", rows)
+            np.testing.assert_array_equal(ranked(Q, G, 5), dense)
 
-    def test_exclude_self_bars_the_diagonal(self):
+    def test_exclude_self_bars_the_diagonal(self, monkeypatch):
+        monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 2)
         E = l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(
-            ranked(E, E, 2, exclude_self=True, block_rows=2), [[1, 2], [0, 2], [0, 1]]
-        )
+        np.testing.assert_array_equal(ranked(E, E, 2, exclude_self=True), [[1, 2], [0, 2], [0, 1]])
 
     def test_default_blocks_hold_about_block_sims(self, monkeypatch):
-        import coss.linalg
+        Q = l2_normalize(np.random.default_rng(8).normal(size=(25, 2)))
+
+        def starts():
+            return [start for start, _ in cosine_top_k(Q, Q[:10], 1)]
 
         monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", 30)
-        Q = l2_normalize(np.random.default_rng(8).normal(size=(25, 2)))
-        starts = [start for start, _ in cosine_top_k(Q, Q[:10], 1)]  # 3 rows of 10
-        assert starts == list(range(0, 25, 3))
+        assert starts() == list(range(0, 25, 3))  # 3 rows of 10
+        monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 2)
+        assert starts() == list(range(0, 25, 2))
 
 
 def dense_ranking(Q, G, k, exclude_self=False):
@@ -162,7 +166,7 @@ class TestBlasScreen:
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("d", [1, 3, 17, 256])
-    def test_equals_the_dense_einsum_ranking(self, d, exclude_self):
+    def test_equals_the_dense_einsum_ranking(self, d, exclude_self, monkeypatch):
         rng = np.random.default_rng(d)
         for _ in range(4):
             # small integer rows, many of them exact copies, some parallel
@@ -172,16 +176,17 @@ class TestBlasScreen:
             G = E if exclude_self else E[rng.permutation(60)[:45]]
             k = int(rng.integers(1, 21))
             expected = dense_ranking(E, G, k, exclude_self)
-            for block_rows in (1, 7, 32, 60):
-                np.testing.assert_array_equal(
-                    ranked(E, G, k, exclude_self=exclude_self, block_rows=block_rows), expected
-                )
+            for rows in (1, 7, 32, 60):
+                monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", rows)
+                np.testing.assert_array_equal(ranked(E, G, k, exclude_self=exclude_self), expected)
             # a full ranking puts the barred self pair last, as the dense one does
             n_g = len(G)
+            monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 7)
             np.testing.assert_array_equal(
-                ranked(E, G, n_g, exclude_self=exclude_self, block_rows=7),
+                ranked(E, G, n_g, exclude_self=exclude_self),
                 dense_ranking(E, G, n_g, exclude_self),
             )
+            monkeypatch.undo()
             # Fortran-ordered rows are ranked as their C-ordered copies
             np.testing.assert_array_equal(
                 ranked(np.asfortranarray(E), np.asfortranarray(G), k, exclude_self=exclude_self),
@@ -205,7 +210,7 @@ class TestBlasScreen:
                 del sims
             dense_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            got = ranked(E, E, 16, exclude_self=True, block_rows=256)
+            got = ranked(E, E, 16, exclude_self=True)  # 256-row blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,12 +238,23 @@ class TestBlasScreen:
         X = np.random.default_rng(17).normal(size=(n, 16))
         tracemalloc.start()
         try:
-            build_index(X, 16, block_size=256)
+            build_index(X, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         block_bytes = 256 * n * 8
         assert peak <= 1.5 * block_bytes, peak / block_bytes
+
+    def test_large_build_index_blocks_hold_about_block_sims(self):
+        # at 20k rows a 256-row block would be 41 MB; BLOCK_SIMS caps it at 8 MB
+        X = np.random.default_rng(18).normal(size=(20_000, 16))
+        tracemalloc.start()
+        try:
+            build_index(X, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * coss.linalg.BLOCK_SIMS * 8, peak / 2**20
 
     @pytest.mark.parametrize("d", [1, 3, 16, 17, 64, 256])
     def test_gathered_einsum_rounds_like_the_dense_one(self, d):
