@@ -96,8 +96,9 @@ def cmd_distill(args) -> int:
     student, log = distill(cfg, dataset.without_labels(), teacher, index)
     elapsed = time.perf_counter() - t0
 
+    blob = io.encode_model(student)  # raises before --out exists if float32 cannot hold it
     os.makedirs(args.out, exist_ok=True)
-    io.write_model(os.path.join(args.out, "student.cssm"), student)
+    io.atomic_write(os.path.join(args.out, "student.cssm"), blob)
     io.atomic_write(
         os.path.join(args.out, "config.ini"), render_config(cfg).encode("utf-8")
     )

@@ -9,8 +9,10 @@ version:
                         out:u32  in:u32  activation:u8  weights:f32[out*in]  bias:f32[out]
 
 Unknown versions are rejected outright.  Values are float32 on disk and
-float64 in memory.  All writers go through a write-temp-then-rename step
-so a crash never leaves a half-written file behind.
+float64 in memory; the encoders raise NumericalError for a value float32
+cannot hold finitely, as the decoders would.  All writers go through a
+write-temp-then-rename step so a crash never leaves a half-written file
+behind.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ def _read_file(path) -> bytes:
         return fh.read()
 
 
+def _float32_bytes(values: np.ndarray, what: str) -> bytes:
+    """``values`` as little-endian float32 bytes, or NumericalError if one is not finite there.
+
+    A finite value beyond float32's range would be written as inf, which the
+    decoders reject, so the file could not be read back.
+    """
+    with np.errstate(over="ignore"):
+        out = values.astype("<f4")
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"{what} has values float32 cannot hold")
+    return out.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dataset
 
@@ -118,7 +133,7 @@ def encode_dataset(dataset: Dataset) -> bytes:
     parts = [
         MAGIC_DATASET,
         struct.pack("<IQQB", FORMAT_VERSION, dataset.n, dataset.dim, int(has_labels)),
-        dataset.inputs.astype("<f4").tobytes(),
+        _float32_bytes(dataset.inputs, "dataset"),
     ]
     if has_labels:
         parts.append(dataset.labels.astype("<i8").tobytes())
@@ -196,8 +211,8 @@ def encode_model(model: MlpModel) -> bytes:
     for layer in model.layers:
         out_dim, in_dim = layer.weight.shape
         parts.append(struct.pack("<IIB", out_dim, in_dim, _ACT_CODE[layer.activation]))
-        parts.append(layer.weight.astype("<f4").tobytes())
-        parts.append(layer.bias.astype("<f4").tobytes())
+        parts.append(_float32_bytes(layer.weight, "checkpoint"))
+        parts.append(_float32_bytes(layer.bias, "checkpoint"))
     return b"".join(parts)
 
 

@@ -3,7 +3,8 @@
 All functions operate on 2-D float64 arrays (rows = samples, columns =
 feature dimensions) and never mutate their inputs.  Only ``as_matrix`` and
 ``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``.
-float32 appears only inside the file formats.
+Outside the file formats, float32 appears only in ``cosine_top_k``'s BLAS
+screen, which picks candidates and never decides an order.
 """
 
 from __future__ import annotations
@@ -80,19 +81,28 @@ def _candidates(sims: np.ndarray, k: int, margin: float = 0.0):
         g = min(n, max(8 * k, 128))
         maxima = sims[:, : n - n % g].reshape(m, n // g, g).max(axis=1)
         kth = np.partition(maxima, g - k, axis=1)[:, g - k]
+    # taken in float64, whose rounding is far inside the margin's slack, then
+    # rounded down in the block's type, so no rounding narrows the margin
+    bound = np.nextafter((kth - np.float64(margin)).astype(sims.dtype), -np.inf)
     # flatnonzero is several times faster than a 2-D nonzero
-    return np.divmod(np.flatnonzero(sims >= (kth - margin)[:, None]), n)
+    return np.divmod(np.flatnonzero(sims >= bound[:, None]), n)
 
 
 def _first_k(rows, cols, vals, m: int, k: int) -> np.ndarray:
     """The ``k`` best candidates of each of ``m`` rows by (-value, column).
 
-    ``(rows, cols, vals)`` list each row's candidates, at least ``k`` per row.
+    ``(rows, cols, vals)`` list each row's candidates, at least ``k`` per row,
+    in (row, column) order, as ``_candidates`` gives them.
     """
-    order = np.lexsort((cols, -vals, rows))
     counts = np.bincount(rows, minlength=m)
     first = np.cumsum(counts) - counts
-    return cols[order][first[:, None] + np.arange(k)]
+    # one row per query, its candidates' -values in column order, then +inf
+    # padding: a stable sort keeps ties, -0.0/0.0 and barred -inf entries in
+    # column order and the padding after them all.  It is m x (a row's most
+    # candidates), at most the size of a dense float64 block.
+    keys = np.full((m, counts.max()), np.inf)
+    keys[rows, np.arange(len(rows)) - first[rows]] = -vals
+    return cols[first[:, None] + np.argsort(keys, axis=1, kind="stable")[:, :k]]
 
 
 def top_k(sims: np.ndarray, k: int) -> np.ndarray:
@@ -109,37 +119,63 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
 
 
 # cosine_top_k's blocks hold at most BLOCK_ROWS query rows and about BLOCK_SIMS
-# similarities (measured on a 2-core VM, one BLAS thread).  8 MB blocks stay in
-# cache: 2560 rows against 50k took 0.62 s in 256-row blocks (102 MB), 0.43 s in
-# 20-row ones.  The row cap keeps small-n blocks small: 1000-row blocks at
-# n = 1000 raised a 1k pipeline's peak RSS by 7.5 %.
+# similarities (measured on a 2-core VM, one BLAS thread).  Blocks this small
+# stay in cache: 2560 rows against 50k took 0.62 s in 256-row float64 blocks
+# (102 MB), 0.43 s in 20-row ones (8 MB).  The row cap keeps small-n blocks
+# small: 1000-row blocks at n = 1000 raised a 1k pipeline's peak RSS by 7.5 %.
 BLOCK_ROWS = 256
 BLOCK_SIMS = 1 << 20
 
-# Unit roundoff of float64.
+# Unit roundoffs of float64 and float32, and float32's smallest normal number.
 UNIT_ROUNDOFF = 2.0**-53
+UNIT_ROUNDOFF_32 = 2.0**-24
+TINY_32 = 2.0**-126
 
 
-def _rank_block(Qb: np.ndarray, G: np.ndarray, k: int, self_offset: int | None,
+def _gamma(d: int, u: float) -> float:
+    """Higham's bound gamma_d on the relative rounding error of a d-term dot product."""
+    return d * u / (1 - d * u)
+
+
+def _screen_margin(d: int) -> float:
+    """How far below a row's bound the float32 screen keeps candidates of d-D rows.
+
+    Rows q, g of norm at most 1.14 have float32 images q', g'.  The BLAS
+    value a = fl32(q'.g') and the einsum value s = fl64(q.g) both lie near
+    q.g, and their distance E comes from three sources:
+      - rounding to float32 moves each component by at most u32 of itself
+        plus TINY_32 (a part below float32's normal range may be lost
+        whole), so q'.g' is within (2 u32 + u32^2) |q||g| + 3 d TINY_32
+        of q.g;
+      - float32 BLAS adds at most gamma_d(u32) |q'||g'|, plus TINY_32 for
+        each product or sum it flushes to zero;
+      - float64 einsum is within gamma_d(u64) |q||g| of q.g.
+    As u32 <= gamma_d(u32), E < (3.01 gamma32 + gamma64) |q||g| + 6 d TINY_32.
+    A column einsum ranks in the top k has s at least the k-th largest einsum
+    value, which is at least the k-th largest BLAS value minus E, itself at
+    least the row's bound minus E.  So that column's a is at least the bound
+    minus 2E, and the margin below covers 2E while |q||g| <= 1.32.
+    """
+    return 8 * (_gamma(d, UNIT_ROUNDOFF_32) + _gamma(d, UNIT_ROUNDOFF)) + 12 * d * TINY_32
+
+
+def _rank_block(Qb: np.ndarray, G: np.ndarray, G32: np.ndarray, k: int, self_offset: int | None,
                 approx: np.ndarray) -> np.ndarray:
-    """``top_k`` of the einsum similarities of ``Qb`` against ``G``, screened by BLAS.
+    """``top_k`` of the einsum similarities of ``Qb`` against ``G``, screened in float32.
 
-    With ``self_offset``, ``Qb[r]`` never ranks ``G[self_offset + r]``.
-    ``approx`` is a ``len(Qb) x len(G)`` buffer it overwrites.
+    ``G32`` is the float32 copy of ``G``.  With ``self_offset``, ``Qb[r]``
+    never ranks ``G[self_offset + r]``.
+    ``approx`` is a ``len(Qb) x len(G)`` float32 buffer it overwrites.
     """
     (m, d), n_g = Qb.shape, G.shape[0]
-    # Higham's bound gamma_d on the rounding error of a d-term dot product
-    gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
-    # BLAS only screens: its rounding depends on the block shape and kernel
-    # tiling, so exact duplicates can get different values and it cannot
-    # judge ties.  It is within gamma_d of the exact cosine, as is einsum,
-    # so every column einsum ranks in the top k is at least the k-th BLAS
-    # value minus 2 gamma_d; the margin of 4 gamma_d leaves room for rows of
-    # norm slightly above 1.
-    np.matmul(Qb, G.T, out=approx)
+    # BLAS only screens: it rounds in float32, and by the block shape and
+    # kernel tiling, so exact duplicates can get different values and it
+    # cannot judge ties.  Every column einsum ranks in the top k stays within
+    # _screen_margin of the row's bound, and einsum then judges them all.
+    np.matmul(Qb.astype(np.float32), G32.T, out=approx)
     if self_offset is not None:
         approx[np.arange(m), np.arange(self_offset, self_offset + m)] = -np.inf
-    rows, cols = _candidates(approx, k, 4 * gamma)
+    rows, cols = _candidates(approx, k, _screen_margin(d))
     if len(rows) * d > m * n_g:
         # ties flood the candidate set: gathering their rows would take more
         # memory than the dense block
@@ -155,7 +191,7 @@ def _rank_block(Qb: np.ndarray, G: np.ndarray, k: int, self_offset: int | None,
 def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = False):
     """Yield ``(start, top)`` per block of rows of ``Q``, ranking the rows of ``G``.
 
-    ``Q`` and ``G`` hold rows of norm at most 1 (``l2_normalize`` output);
+    ``Q`` and ``G`` hold rows of norm about 1 (``l2_normalize`` output);
     ``top[r]`` lists the ``k`` rows of ``G`` most cosine-similar to
     ``Q[start + r]``, best first.  Similarity is the *computed* cosine,
     ``np.einsum("id,jd->ij")`` of the C-ordered rows, not the exact one:
@@ -166,16 +202,23 @@ def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = Fals
     never ranks row i of ``G``.  Blocks have at most ``BLOCK_ROWS`` rows and
     about ``BLOCK_SIMS`` similarities, so no ``len(Q) x len(G)`` array is
     ever built.
+
+    A float32 BLAS matmul of float32 copies of the rows screens each block,
+    4 bytes a similarity.  It keeps every column within
+    ``_screen_margin`` of a lower bound on the row's k-th value, which its
+    float32 rounding cannot push a top-k column below; the einsum values of
+    those candidates alone decide the order.
     """
     # einsum rounds differently on Fortran-ordered rows
     Q = np.ascontiguousarray(Q)
     G = np.ascontiguousarray(G)
+    G32 = G.astype(np.float32)
     n_q, n_g = Q.shape[0], G.shape[0]
     step = max(1, min(BLOCK_ROWS, BLOCK_SIMS // n_g))
     # every block reuses this: a fresh one would cost a page fault per page
     # (a third of the ranking time at 5000 x 5000)
-    approx = np.empty((min(step, n_q), n_g))
+    approx = np.empty((min(step, n_q), n_g), dtype=np.float32)
     for start in range(0, n_q, step):
         m = min(step, n_q - start)
         self_offset = start if exclude_self else None
-        yield start, _rank_block(Q[start : start + m], G, k, self_offset, approx[:m])
+        yield start, _rank_block(Q[start : start + m], G, G32, k, self_offset, approx[:m])

@@ -532,6 +532,20 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
         assert afile.read_text() == "keep\n"
 
+    def test_student_float32_cannot_hold_is_a_numerical_error(self, workspace, capsys, monkeypatch):
+        trained = coss.cli.distill
+
+        def overflowing(*args):
+            student, log = trained(*args)
+            student.layers[0].weight[0, 0] = 1e39  # finite, but inf in float32
+            return student, log
+
+        monkeypatch.setattr(coss.cli, "distill", overflowing)
+        code, out_dir = run_distill(workspace)
+        assert code == 4
+        assert "float32 cannot hold" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_diverging_run_with_a_projection_head_is_a_numerical_error(self, tmp_path, capsys):
         # the benchmark's 8-D student trains through a head to its 16-D teacher;
         # at lr 1e300 the head is the first to see the overflow

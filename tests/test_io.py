@@ -85,6 +85,21 @@ class TestDatasetFormat:
         with pytest.raises(NumericalError, match="non-finite"):
             decode_dataset(bytes(blob))
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    def test_value_beyond_float32_is_not_written(self, tmp_path, value):
+        # it would be stored as inf, which decode_dataset rejects
+        inputs = np.ones((2, 3))
+        inputs[1, 2] = value
+        with pytest.raises(NumericalError, match="float32 cannot hold"):
+            encode_dataset(Dataset(inputs))
+        with pytest.raises(NumericalError, match="float32 cannot hold"):
+            write_dataset(tmp_path / "d.cssd", Dataset(inputs))
+        assert os.listdir(tmp_path) == []
+
+    def test_largest_float32_is_written(self):
+        inputs = f32([[np.finfo(np.float32).max, -np.finfo(np.float32).max]])
+        assert decode_dataset(encode_dataset(Dataset(inputs))) == Dataset(inputs)
+
     def test_negative_label_rejected(self):
         blob = bytearray(encode_dataset(Dataset(f32(np.ones((1, 1))), labels=[0])))
         blob[-8:] = struct.pack("<q", -5)
@@ -195,6 +210,17 @@ class TestModelFormat:
         )
         with pytest.raises(NumericalError, match="non-finite"):
             decode_model(blob)
+
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    @pytest.mark.parametrize("value", [1e39, np.inf, np.nan])
+    def test_value_float32_cannot_hold_is_not_written(self, tmp_path, part, value):
+        model = random_model(np.random.default_rng(9))
+        getattr(model.layers[-1], part)[0] = value
+        with pytest.raises(NumericalError, match="float32 cannot hold"):
+            encode_model(model)
+        with pytest.raises(NumericalError, match="float32 cannot hold"):
+            write_model(tmp_path / "m.cssm", model)
+        assert os.listdir(tmp_path) == []
 
     def test_file_round_trip(self, tmp_path):
         model = random_model(np.random.default_rng(8))

@@ -8,7 +8,16 @@ from hypothesis.extra.numpy import arrays
 
 import coss.linalg
 from coss.knn import build_index
-from coss.linalg import UNIT_ROUNDOFF, _candidates, cosine_top_k, l2_normalize, top_k
+from coss.linalg import (
+    TINY_32,
+    UNIT_ROUNDOFF,
+    _candidates,
+    _first_k,
+    _screen_margin,
+    cosine_top_k,
+    l2_normalize,
+    top_k,
+)
 
 # zero entries are fine; magnitudes inside (0, eps) are not a meaningful
 # embedding scale and break the eps-guard semantics
@@ -79,6 +88,20 @@ class TestTopK:
         sims = np.array([[0.5, 1.0, 0.5, 1.0, 0.5]])
         np.testing.assert_array_equal(top_k(sims, 3), [[1, 3, 0]])
         np.testing.assert_array_equal(top_k(sims, 1), [[1]])
+
+    def test_first_k_keeps_signed_zeros_and_minus_inf_in_column_order(self):
+        # candidates in (row, column) order, as _candidates lists them, with
+        # uneven counts per row: padding must sort after a row's -inf entries
+        inf = np.inf
+        rows = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3])
+        cols = np.array([0, 2, 3, 5, 1, 4, 6, 0, 1, 2, 3, 4, 0, 1, 2, 6])
+        vals = np.array([-0.0, 0.0, -inf, 0.0, -inf, -inf, 1.0, 0.5, -inf, -0.0, 0.5, 0.0,
+                         -inf, -inf, -inf, -inf])
+        expected = [[0, 2, 5], [6, 1, 4], [0, 3, 2], [0, 1, 2]]
+        np.testing.assert_array_equal(_first_k(rows, cols, vals, 4, 3), expected)
+        # (-value, column) order: -0.0 == 0.0, so signed zeros tie
+        by_key = [sorted(zip(-vals[rows == r], cols[rows == r]))[:3] for r in range(4)]
+        assert [[c for _, c in row] for row in by_key] == expected
 
 
 def mostly_minus_inf(rng, n, k, g):
@@ -268,6 +291,89 @@ class TestBlasScreen:
         np.testing.assert_array_equal(
             np.einsum("id,id->i", Q[rows], G[cols]), np.einsum("id,jd->ij", Q, G)[rows, cols]
         )
+
+
+def screen_stress_rows(rng, n, d, k):
+    """n rows of norm about 1 that stress the float32 screen of row 0's ranking.
+
+    - ``l2_normalize`` outputs, those of norm above 1 first;
+    - a cluster of rows whose cosines with row 0 lie an eighth of a margin
+      apart, over more than 4k of them, so that around row 0's k-th value
+      some fall just inside the margin and some just outside;
+    - copies of rows that differ from them in their last float64 bits, so
+      that they tie in float32 but not in float64;
+    - rows float32 holds exactly, and rows the cast to float32 moves by
+      almost half a float32 spacing in every component;
+    - components, or whole rows, below float32's smallest normal number.
+    """
+    margin = _screen_margin(d)
+    pool = l2_normalize(rng.normal(size=(4 * n, d)))
+    norms = np.sqrt(np.einsum("ij,ij->i", pool, pool))
+    rows = [pool[np.argsort(norms <= 1, kind="stable")[:n]]]
+    if d > 1:
+        a = rows[0][0]
+        v = rng.normal(size=(4 * k + 8, d))
+        v = l2_normalize(v - np.outer(v @ a, a))
+        c = rng.uniform(0.5, 1 - 4 * margin)
+        t = c + margin / 8 * np.arange(8 - len(v), 8)
+        rows.append(l2_normalize(t[:, None] * a + np.sqrt(1 - t * t)[:, None] * v))
+    X = np.concatenate(rows)[rng.permutation(n + (4 * k + 8 if d > 1 else 0))[:n]]
+    X[0] = rows[0][0]
+    # last-bit near duplicates of other rows
+    for i in rng.integers(0, n, size=n // 4):
+        j = int(rng.integers(0, n))
+        ulps = rng.integers(-2, 3, size=d)
+        X[i] = X[j] + ulps * np.spacing(X[j])
+    # rows that float32 holds exactly, and rows whose every component the
+    # cast moves by almost half a float32 spacing, the most it can
+    X32 = X.astype(np.float32)
+    for i in rng.integers(0, n, size=n // 4):
+        X[i] = X32[i]
+    for i in rng.integers(0, n, size=n // 4):
+        up = np.nextafter(X32[i], np.float32(np.inf)).astype(np.float64)
+        X[i] = X32[i] + 0.4995 * (up - X32[i])
+    # components and rows below 2^-126
+    tiny = TINY_32 * np.array([0.75, 2.0**-10, 2.0**-23, 2.0**-30, 1e-300 / TINY_32])
+    for i in rng.integers(1, n, size=n // 8):
+        X[i, rng.integers(0, d, size=max(1, d // 4))] = rng.choice(tiny) * rng.choice([-1, 1])
+    X[rng.integers(1, n, size=2)] = rng.choice(tiny) * rng.normal(size=(2, d))
+    return X
+
+
+class TestFloat32Screen:
+    """The float32 screen keeps every column the float64 einsum ranks in the top k."""
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 257])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 300), n_q=st.integers(1, 40))
+    @settings(max_examples=12, deadline=None)
+    def test_equals_the_dense_einsum_ranking(self, d, k, exclude_self, seed, n, n_q):
+        rng = np.random.default_rng(seed)
+        G = screen_stress_rows(rng, n, d, k)
+        if exclude_self:
+            Q = G
+        else:
+            # row 0, its near duplicates and a few others, as queries
+            Q = G[np.concatenate([[0], rng.integers(0, n, size=n_q)])]
+            Q[1::2] += rng.integers(-1, 2, size=Q[1::2].shape) * np.spacing(Q[1::2])
+        np.testing.assert_array_equal(
+            ranked(Q, G, k, exclude_self=exclude_self), dense_ranking(Q, G, k, exclude_self)
+        )
+
+    def test_screen_keeps_few_candidates_per_row(self):
+        # build_index's float32 screen at k = 16: about 17 candidates per row,
+        # as many as the float64 screen kept
+        n, k, d = 4000, 16, 16
+        E = l2_normalize(np.random.default_rng(16).normal(size=(n, d)))
+        E32 = E.astype(np.float32)
+        step = coss.linalg.BLOCK_SIMS // n
+        kept = 0
+        for start in range(0, n, step):
+            approx = E32[start : start + step] @ E32.T
+            approx[np.arange(len(approx)), np.arange(start, start + len(approx))] = -np.inf
+            kept += len(_candidates(approx, k, _screen_margin(d))[0])
+        assert kept / n <= 1.25 * k, kept / n
 
 
 def test_transpose_involution():
