@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .linalg import DEFAULT_EPS, as_matrix, column_cosines, cosine_top_k, l2_normalize
 from .losses import _check_pair, loss_co
 
@@ -75,11 +76,48 @@ def holdout_knn_accuracy(emb, labels, seed: int, k_eval: int) -> float:
     return knn_classify(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k_eval)
 
 
+def _fit_probe(X: np.ndarray, t: np.ndarray, C: int, epochs: int, lr: float,
+               seed: int) -> np.ndarray:
+    """Weights (d + 1, C) of softmax regression on ``X`` and class ids ``t``, by full-batch GD.
+
+    Every epoch works in place in one (n, C) buffer.  The row maximum is
+    C elementwise maxima over the columns, which is exact in any order;
+    the row sum keeps ``np.sum``'s order and ``Xb.T`` keeps its layout,
+    since either change would round differently.
+    """
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    rng = np.random.default_rng(seed)
+    W = rng.normal(0.0, 0.01, size=(d + 1, C))
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), t] = 1.0
+    P = np.empty((n, C))
+    m = np.empty(n)
+    s = np.empty((n, 1))
+    g = np.empty_like(W)
+    for _ in range(epochs):
+        np.matmul(Xb, W, out=P)
+        np.copyto(m, P[:, 0])
+        for c in range(1, C):
+            np.maximum(m, P[:, c], out=m)
+        P -= m[:, None]
+        np.exp(P, out=P)
+        np.sum(P, axis=1, keepdims=True, out=s)
+        P /= s
+        P -= onehot
+        np.matmul(Xb.T, P, out=g)
+        g *= lr
+        g /= n
+        W -= g
+    return W
+
+
 def linear_probe(train_emb, train_labels, test_emb, test_labels, epochs: int = 200,
                  lr: float = 0.5, seed: int = 0) -> float:
     """Softmax regression on frozen embeddings, trained by full-batch GD.
 
-    Deterministic for a fixed seed; returns test accuracy.
+    Deterministic for a fixed seed; returns test accuracy.  Raises
+    ``NumericalError`` when the fit diverges to non-finite weights.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError("probe lr must be finite and > 0")
@@ -87,30 +125,21 @@ def linear_probe(train_emb, train_labels, test_emb, test_labels, epochs: int = 2
         raise ValueError("probe epochs ≥ 0")
     X = as_matrix(train_emb, "train_emb")
     y = np.asarray(train_labels, dtype=np.int64)
-    classes = np.unique(y)
+    if y.shape != (X.shape[0],):
+        raise ValueError("labels length must equal train size")
+    Xt = as_matrix(test_emb, "test_emb")
+    truth = np.asarray(test_labels, dtype=np.int64)
+    if truth.shape != (Xt.shape[0],):
+        raise ValueError("labels length must equal test size")
+    classes, t = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("single-class train set")
-    class_of = {c: i for i, c in enumerate(classes)}
-    t = np.array([class_of[c] for c in y])
-    n, d = X.shape
-    C = classes.size
 
-    Xb = np.hstack([X, np.ones((n, 1))])
-    rng = np.random.default_rng(seed)
-    W = rng.normal(0.0, 0.01, size=(d + 1, C))
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), t] = 1.0
-    for _ in range(epochs):
-        logits = Xb @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        P = np.exp(logits)
-        P /= P.sum(axis=1, keepdims=True)
-        W -= lr * (Xb.T @ (P - onehot)) / n
-
-    Xt = as_matrix(test_emb, "test_emb")
+    W = _fit_probe(X, t, classes.size, epochs, lr, seed)
+    if not np.isfinite(W).all():
+        raise NumericalError("linear probe diverged to non-finite weights")
     logits = np.hstack([Xt, np.ones((Xt.shape[0], 1))]) @ W
     pred = classes[np.argmax(logits, axis=1)]
-    truth = np.asarray(test_labels, dtype=np.int64)
     return float(np.mean(pred == truth))
 
 
@@ -127,8 +156,12 @@ def recall_at_k(query_emb, gallery_emb, query_labels, gallery_labels, K: int = 1
         raise ValueError("empty gallery")
     G = l2_normalize(gallery_emb)
     gl = np.asarray(gallery_labels, dtype=np.int64)
+    if gl.shape != (G.shape[0],):
+        raise ValueError("labels length must equal gallery size")
     Q = l2_normalize(query_emb)
     ql = np.asarray(query_labels, dtype=np.int64)
+    if ql.shape != (Q.shape[0],):
+        raise ValueError("labels length must equal query size")
     if exclude_self and Q.shape[0] != G.shape[0]:
         raise ValueError("exclude_self needs query and gallery of equal size")
     K = min(K, G.shape[0] - (1 if exclude_self else 0))

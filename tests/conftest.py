@@ -79,6 +79,34 @@ def brute_loss_ss(S, T):
     return brute_loss_co(np.asarray(S).T, np.asarray(T).T)
 
 
+def reference_probe_weights(X, y, epochs, lr, seed):
+    """The linear probe's softmax-regression loop as first written, one fresh array per step.
+
+    ``evaluate._fit_probe`` does the same arithmetic in place; its weights
+    must match these bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    classes = np.unique(y)
+    class_of = {c: i for i, c in enumerate(classes)}
+    t = np.array([class_of[c] for c in y])
+    n, d = X.shape
+    C = classes.size
+
+    Xb = np.hstack([X, np.ones((n, 1))])
+    rng = np.random.default_rng(seed)
+    W = rng.normal(0.0, 0.01, size=(d + 1, C))
+    onehot = np.zeros((n, C))
+    onehot[np.arange(n), t] = 1.0
+    for _ in range(epochs):
+        logits = Xb @ W
+        logits -= logits.max(axis=1, keepdims=True)
+        P = np.exp(logits)
+        P /= P.sum(axis=1, keepdims=True)
+        W -= lr * (Xb.T @ (P - onehot)) / n
+    return W
+
+
 # --- random valid payload factories for the serialisation round-trips ------
 
 def random_dataset(rng):

@@ -292,6 +292,23 @@ class TestEval:
         assert "probe" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_diverging_probe_is_a_numerical_error(self, workspace, capsys):
+        report = workspace["root"] / "probe.tsv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                [
+                    "eval",
+                    "--student", str(workspace["teacher"]),
+                    "--data", str(workspace["data"]),
+                    "--suite", "probe",
+                    "--lr", "1e308",
+                    "--out", str(report),
+                ]
+            )
+        assert code == 4
+        assert "probe diverged" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_align_of_teacher_with_itself_is_perfect(self, workspace):
         report = workspace["root"] / "align.tsv"
         code = main(
@@ -426,6 +443,35 @@ class TestAblate:
         table = capsys.readouterr().out.encode("utf-8")
         digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), table))
         assert digests == self.PINNED_REPORTS[grid]
+
+
+class TestProbeReport:
+    # SHA-256 of the report file and of the printed lines of ``coss eval --suite
+    # probe`` on the bundled benchmark, the teacher standing in for the student,
+    # recorded before the probe's loop was made to work in place.
+    PINNED_PROBE_REPORTS = {
+        (): ("3b29f7eedfb6817002f7279cef6fb4870ddb0b510e0e08fbab19de088f411a15",
+             "7c907253e1e432a854784647010eadad3ea9ce4d0d97d9daed8ce78a95b5b67e"),
+        ("--epochs", "20", "--lr", "0.02"): (
+            "2430b05b8cfe1581d2e1ce72cf163c7d52c114b98d3dbf6d4751cb8ed53e53a9",
+            "199fb674d6b3da32b9b9a8aeed182711d5cf0a81e46053866d25d4fab4d981a6"),
+    }
+
+    @pytest.mark.parametrize("extra", PINNED_PROBE_REPORTS)
+    def test_probe_report_keeps_its_bytes(self, tmp_path, capsys, extra):
+        data, teacher = tmp_path / "bench.cssd", tmp_path / "teacher.cssm"
+        write_dataset(data, make_benchmark_dataset())
+        write_model(teacher, make_benchmark_teacher())
+        report = tmp_path / "probe.tsv"
+        capsys.readouterr()
+        code = main(
+            ["eval", "--suite", "probe", "--student", str(teacher), "--data", str(data),
+             "--split-seed", "415", *extra, "--out", str(report)]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), printed))
+        assert digests == self.PINNED_PROBE_REPORTS[extra]
 
 
 class TestExitCodes:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coss.linalg
+from coss.errors import NumericalError
 from coss.benchmark import benchmark_split
 from coss.evaluate import (
+    _fit_probe,
     alignment_diagnostics,
     holdout_knn_accuracy,
     holdout_split,
@@ -23,7 +25,7 @@ from coss.evaluate import (
 from coss.knn import build_index
 from coss.losses import loss_co, loss_ss
 
-from conftest import brute_cosine, distinct_directions
+from conftest import brute_cosine, distinct_directions, reference_probe_weights
 
 
 def brute_vote(train_emb, train_labels, q, k):
@@ -220,6 +222,38 @@ class TestLinearProbe:
         acc = linear_probe(X, np.where(y == 0, 2, 9), X, np.where(y == 0, 2, 9))
         assert acc >= 0.99
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weights_match_the_reference_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng([seed, 16])
+        for i in range(10):
+            n = int(rng.integers(2, 4001 if i == 0 else 300))
+            d, C = int(rng.integers(1, 65)), int(rng.integers(2, 41))
+            epochs, lr = int(rng.integers(0, 51)), float(10 ** rng.uniform(-2, 1))
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+            y = rng.integers(0, C, size=n) * 3 - 5  # class ids need be neither contiguous nor >= 0
+            classes, t = np.unique(y, return_inverse=True)
+            if classes.size < 2:
+                continue
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                W = _fit_probe(X, t, classes.size, epochs, lr, seed)
+                want = reference_probe_weights(X, y, epochs, lr, seed)
+            assert W.tobytes() == want.tobytes(), (n, d, C, epochs, lr)
+
+    def test_test_labels_must_match_test_rows(self):
+        X, y = self.separable_blobs()
+        with pytest.raises(ValueError, match="labels length must equal test size"):
+            linear_probe(X, y, X[:50], [1])
+
+    def test_train_labels_must_match_train_rows(self):
+        X, y = self.separable_blobs()
+        with pytest.raises(ValueError, match="labels length must equal train size"):
+            linear_probe(X, y[:-1], X, y)
+
+    def test_diverged_fit_is_a_numerical_error(self):
+        X, y = self.separable_blobs()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="diverged"):
+            linear_probe(X * 1e200, y, X, y, lr=1e300)
+
 
 class TestRecallAtK:
     def test_duplicated_pairs_retrieve_each_other(self):
@@ -274,6 +308,18 @@ class TestRecallAtK:
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError, match="empty gallery"):
             recall_at_k(np.ones((1, 2)), np.zeros((0, 2)), [0], [], K=1)
+
+    def test_query_labels_must_match_query_rows(self):
+        X = np.random.default_rng(7).normal(size=(50, 3))
+        y = np.arange(50) % 4
+        with pytest.raises(ValueError, match="labels length must equal query size"):
+            recall_at_k(X, X, [1], y)
+
+    def test_gallery_labels_must_match_gallery_rows(self):
+        X = np.random.default_rng(7).normal(size=(50, 3))
+        y = np.arange(50) % 4
+        with pytest.raises(ValueError, match="labels length must equal gallery size"):
+            recall_at_k(X, X, y, y[:-1])
 
     def test_exclude_self_needs_matching_sizes(self):
         with pytest.raises(ValueError, match="equal size"):
