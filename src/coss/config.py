@@ -158,8 +158,7 @@ def render_config(cfg: DistillConfig) -> str:
     return buf.getvalue()
 
 
-def config_hash(cfg: DistillConfig, exclude: tuple[str, ...] = ()) -> str:
+def config_hash(cfg: DistillConfig) -> str:
     """SHA-256 over a canonical JSON form; stable under key reordering."""
-    d = {k: v for k, v in asdict(cfg).items() if k not in exclude}
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

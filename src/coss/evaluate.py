@@ -21,30 +21,37 @@ def check_k_eval(k_eval: int) -> None:
         raise ValueError("k_eval ≥ 1")
 
 
+def _labelled(emb, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(as_matrix(emb), labels as int64)``, or ValueError unless there is one label per row.
+
+    ``what`` names the pair in errors: ``train``, ``test``, ``query`` or ``gallery``.
+    """
+    X = as_matrix(emb, f"{what}_emb")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"labels length must equal {what} size")
+    return X, y
+
+
 def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarray:
     """Majority vote among the k nearest train embeddings by cosine.
 
     Neighbour ties break toward the lower train index, vote ties toward
-    the lower class id.
+    the lower class id.  Negative train labels are rejected.
     """
     check_k_eval(k_eval)
-    if np.asarray(train_emb, dtype=np.float64).shape[0] == 0:
-        raise ValueError("empty train set")
-    E = l2_normalize(train_emb)
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.shape != (E.shape[0],):
-        raise ValueError("labels length must equal train size")
-    Q = l2_normalize(test_emb)
-    if Q.shape[1] != E.shape[1]:
+    X, labels = _labelled(train_emb, train_labels, "train")
+    if labels.min() < 0:
+        raise ValueError("train labels must be nonnegative")
+    Q = as_matrix(test_emb, "test_emb")
+    if Q.shape[1] != X.shape[1]:
         raise ValueError("shape mismatch")
+    E, Q = l2_normalize(X), l2_normalize(Q)
     k_eval = min(k_eval, E.shape[0])
     n_classes = int(labels.max()) + 1
     pred = np.empty(Q.shape[0], dtype=np.int64)
     for start, nearest in cosine_top_k(Q, E, k_eval):
         votes = labels[nearest]
-        if votes.min() < 0:
-            # the error a per-query np.bincount vote gives
-            raise ValueError("'list' argument must have no negative elements")
         # one bincount over (query, label) pairs; argmax takes the lowest class id on ties
         m = len(votes)
         pairs = np.arange(m)[:, None] * n_classes + votes
@@ -55,11 +62,8 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
 
 def knn_classify(train_emb, train_labels, test_emb, test_labels, k_eval: int = 1) -> float:
     """Accuracy of the k-NN vote against the held-out labels."""
-    pred = knn_predict(train_emb, train_labels, test_emb, k_eval)
-    truth = np.asarray(test_labels, dtype=np.int64)
-    if truth.shape != pred.shape:
-        raise ValueError("labels length must equal test size")
-    return float(np.mean(pred == truth))
+    Q, truth = _labelled(test_emb, test_labels, "test")
+    return float(np.mean(knn_predict(train_emb, train_labels, Q, k_eval) == truth))
 
 
 def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,20 +121,17 @@ def linear_probe(train_emb, train_labels, test_emb, test_labels, epochs: int = 2
     """Softmax regression on frozen embeddings, trained by full-batch GD.
 
     Deterministic for a fixed seed; returns test accuracy.  Raises
-    ``NumericalError`` when the fit diverges to non-finite weights.
+    ValueError before the fit on a bad argument, a test width other than
+    the train width too, and ``NumericalError`` when the fit diverges.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError("probe lr must be finite and > 0")
     if epochs < 0:
         raise ValueError("probe epochs ≥ 0")
-    X = as_matrix(train_emb, "train_emb")
-    y = np.asarray(train_labels, dtype=np.int64)
-    if y.shape != (X.shape[0],):
-        raise ValueError("labels length must equal train size")
-    Xt = as_matrix(test_emb, "test_emb")
-    truth = np.asarray(test_labels, dtype=np.int64)
-    if truth.shape != (Xt.shape[0],):
-        raise ValueError("labels length must equal test size")
+    X, y = _labelled(train_emb, train_labels, "train")
+    Xt, truth = _labelled(test_emb, test_labels, "test")
+    if Xt.shape[1] != X.shape[1]:
+        raise ValueError("shape mismatch")
     classes, t = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("single-class train set")
@@ -152,21 +153,16 @@ def recall_at_k(query_emb, gallery_emb, query_labels, gallery_labels, K: int = 1
     """
     if K < 1:
         raise ValueError("K ≥ 1")
-    if np.asarray(gallery_emb, dtype=np.float64).shape[0] == 0:
-        raise ValueError("empty gallery")
-    G = l2_normalize(gallery_emb)
-    gl = np.asarray(gallery_labels, dtype=np.int64)
-    if gl.shape != (G.shape[0],):
-        raise ValueError("labels length must equal gallery size")
-    Q = l2_normalize(query_emb)
-    ql = np.asarray(query_labels, dtype=np.int64)
-    if ql.shape != (Q.shape[0],):
-        raise ValueError("labels length must equal query size")
+    G, gl = _labelled(gallery_emb, gallery_labels, "gallery")
+    Q, ql = _labelled(query_emb, query_labels, "query")
+    if Q.shape[1] != G.shape[1]:
+        raise ValueError("shape mismatch")
     if exclude_self and Q.shape[0] != G.shape[0]:
         raise ValueError("exclude_self needs query and gallery of equal size")
     K = min(K, G.shape[0] - (1 if exclude_self else 0))
     if K < 1:
         raise ValueError("K ≥ 1")
+    G, Q = l2_normalize(G), l2_normalize(Q)
     hits = np.empty(Q.shape[0], dtype=bool)
     for start, top in cosine_top_k(Q, G, K, exclude_self=exclude_self):
         stop = start + len(top)

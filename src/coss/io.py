@@ -8,11 +8,13 @@ version:
   model     "CSSM"  v1  layer_count:u32  then per layer:
                         out:u32  in:u32  activation:u8  weights:f32[out*in]  bias:f32[out]
 
-Unknown versions are rejected outright.  Values are float32 on disk and
+Unknown versions are rejected outright.  The decoders check the byte
+layout and the type each builds checks the content; that type's
+ValueError is raised as FormatError.  Values are float32 on disk and
 float64 in memory; the encoders raise NumericalError for a value float32
-cannot hold finitely, as the decoders would.  All writers go through a
-write-temp-then-rename step so a crash never leaves a half-written file
-behind.
+cannot hold finitely, as ``Dataset`` and ``Layer`` would on decode.  All
+writers go through a write-temp-then-rename step so a crash never leaves
+a half-written file behind.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
+    def array(self, dtype: str, count: int, to) -> np.ndarray:
+        """The next ``count`` values of ``dtype``, cast to a fresh array of ``to``."""
         nbytes = np.dtype(dtype).itemsize * count
-        return np.frombuffer(self.take(nbytes), dtype=dtype).copy()
+        # a signalling NaN warns in the cast; the built type rejects it as NumericalError
+        with np.errstate(invalid="ignore"):
+            return np.frombuffer(self.take(nbytes), dtype=dtype).astype(to)
 
     def done(self) -> None:
         if self.pos != len(self.blob):
@@ -71,6 +76,20 @@ def _check_header(r: _Reader, magic: bytes) -> None:
     (version,) = r.unpack("<I")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}")
+
+
+def _build(make):
+    """``make()``, whose ValueError is raised as FormatError.
+
+    NumericalError is a ValueError too; it passes through, so a non-finite
+    payload keeps its own exit code.
+    """
+    try:
+        return make()
+    except NumericalError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # The mode open() would give a new file; mkstemp's own is 0600.  Read once:
@@ -144,20 +163,12 @@ def decode_dataset(blob: bytes) -> Dataset:
     r = _Reader(blob)
     _check_header(r, MAGIC_DATASET)
     n, dim, has_labels = r.unpack("<QQB")
-    if n < 1 or dim < 1:
-        raise FormatError("empty dataset")
     if has_labels not in (0, 1):
         raise FormatError("bad has_labels flag")
-    inputs = r.array("<f4", n * dim).astype(np.float64).reshape(n, dim)
-    if not np.all(np.isfinite(inputs)):
-        raise NumericalError("non-finite values in dataset")
-    labels = None
-    if has_labels:
-        labels = r.array("<i8", n)
-        if labels.min() < 0:
-            raise FormatError("negative label")
+    inputs = r.array("<f4", n * dim, np.float64)
+    labels = r.array("<i8", n, np.int64) if has_labels else None
     r.done()
-    return Dataset(inputs, labels)
+    return _build(lambda: Dataset(inputs.reshape(n, dim), labels))
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -185,14 +196,9 @@ def decode_index(blob: bytes) -> NeighborIndex:
     r = _Reader(blob)
     _check_header(r, MAGIC_INDEX)
     n, pool = r.unpack("<QQ")
-    if n < 2 or pool < 1:
-        raise FormatError("bad index dimensions")
-    neighbors = r.array("<u4", n * pool).astype(np.int64).reshape(n, pool)
+    neighbors = r.array("<u4", n * pool, np.int64)
     r.done()
-    try:
-        return NeighborIndex(n=int(n), pool=int(pool), neighbors=neighbors)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(lambda: NeighborIndex(n=n, pool=pool, neighbors=neighbors.reshape(n, pool)))
 
 
 def write_index(path, index: NeighborIndex) -> None:
@@ -220,25 +226,15 @@ def decode_model(blob: bytes) -> MlpModel:
     r = _Reader(blob)
     _check_header(r, MAGIC_MODEL)
     (layer_count,) = r.unpack("<I")
-    if layer_count < 1:
-        raise FormatError("model has no layers")
-    layers = []
+    parts = []
     for _ in range(layer_count):
         out_dim, in_dim, act_code = r.unpack("<IIB")
-        if out_dim < 1 or in_dim < 1:
-            raise FormatError("bad layer dimensions")
         if act_code not in _ACT_NAME:
             raise FormatError(f"unknown activation code {act_code}")
-        W = r.array("<f4", out_dim * in_dim).astype(np.float64).reshape(out_dim, in_dim)
-        b = r.array("<f4", out_dim).astype(np.float64)
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise NumericalError("non-finite values in checkpoint")
-        layers.append(Layer(W, b, _ACT_NAME[act_code]))
+        W = r.array("<f4", out_dim * in_dim, np.float64).reshape(out_dim, in_dim)
+        parts.append((W, r.array("<f4", out_dim, np.float64), _ACT_NAME[act_code]))
     r.done()
-    try:
-        return MlpModel(layers)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(lambda: MlpModel([Layer(*p) for p in parts]))
 
 
 def write_model(path, model: MlpModel) -> None:

@@ -27,6 +27,8 @@ class NeighborIndex:
         self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
         if self.neighbors.shape != (self.n, self.pool):
             raise ValueError("neighbors shape does not match (n, pool)")
+        if self.pool < 1:
+            raise ValueError("pool ≥ 1")
         if self.pool > self.n - 1:
             raise ValueError("pool too large")
         if self.neighbors.size:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .linalg import as_matrix
 
 ACTIVATIONS = ("identity", "relu", "tanh")
@@ -39,12 +40,12 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
+        self.weight = as_matrix(self.weight, "layer weight")
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError("layer weight must be 2-D")
         if self.bias.shape != (self.weight.shape[0],):
             raise ValueError("bias length must equal the layer's output size")
+        if not np.all(np.isfinite(self.bias)):
+            raise NumericalError("non-finite layer bias")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 

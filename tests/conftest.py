@@ -139,3 +139,20 @@ def random_model(rng):
         MlpSpec(dims, hidden_activation=hidden, output_activation=out),
         seed=int(rng.integers(2**31)),
     )
+
+
+def corruptions(blob: bytes, seed: int, count: int) -> list[bytes]:
+    """``count`` seeded damaged copies of ``blob``: every third a truncation, the rest
+    1-3 flipped bits, alternately all within the first 40 bytes and anywhere."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            out.append(blob[: int(rng.integers(0, len(blob)))])
+            continue
+        span = min(40, len(blob)) if i % 3 == 1 else len(blob)
+        damaged = bytearray(blob)
+        for _ in range(int(rng.integers(1, 4))):
+            damaged[int(rng.integers(span))] ^= 1 << int(rng.integers(8))
+        out.append(bytes(damaged))
+    return out

@@ -1,7 +1,11 @@
 """End-to-end command behaviour: artifacts, exit codes, determinism."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from coss.io import (
     write_model,
 )
 from coss.models import MlpSpec, forward, init_model
+
+from conftest import corruptions
 
 CONFIG_TEXT = (
     "[distill]\n"
@@ -76,6 +82,17 @@ def workspace(tmp_path):
         == 0
     )
     return paths
+
+
+def run_coss(*argv):
+    """Exit code and stderr of ``coss *argv`` in a fresh interpreter, warnings shown as a user sees them."""
+    env = dict(os.environ)
+    src = str(Path(coss.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "coss.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
 
 
 def run_distill(paths, out_name="run"):
@@ -293,20 +310,20 @@ class TestEval:
         assert not report.exists()
 
     def test_diverging_probe_is_a_numerical_error(self, workspace, capsys):
+        # the fit's overflow warnings stay inside the command: one line on stderr
         report = workspace["root"] / "probe.tsv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                [
-                    "eval",
-                    "--student", str(workspace["teacher"]),
-                    "--data", str(workspace["data"]),
-                    "--suite", "probe",
-                    "--lr", "1e308",
-                    "--out", str(report),
-                ]
-            )
+        code = main(
+            [
+                "eval",
+                "--student", str(workspace["teacher"]),
+                "--data", str(workspace["data"]),
+                "--suite", "probe",
+                "--lr", "1e308",
+                "--out", str(report),
+            ]
+        )
         assert code == 4
-        assert "probe diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numerical error: linear probe diverged to non-finite weights\n"
         assert not report.exists()
 
     def test_align_of_teacher_with_itself_is_perfect(self, workspace):
@@ -519,6 +536,34 @@ class TestExitCodes:
         )
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
+
+    def test_signalling_nan_payload_is_one_line_and_exit_4(self, workspace):
+        blob = bytearray(workspace["data"].read_bytes())
+        blob[25:29] = struct.pack("<I", 0x7F800001)  # a signalling NaN as the first f32
+        snan = workspace["root"] / "snan.cssd"
+        snan.write_bytes(bytes(blob))
+        code, err = run_coss("eval", "--suite", "knn", "--student", workspace["teacher"],
+                             "--data", snan, "--out", workspace["root"] / "r.tsv")
+        assert code == 4
+        assert err.splitlines() == ["numerical error: non-finite input"]
+
+    def test_damaged_files_exit_0_3_or_4_without_a_traceback(self, workspace):
+        root = workspace["root"]
+        eval_args = ["eval", "--suite", "knn", "--out", root / "r.tsv"]
+        commands = {
+            "data": lambda path: [*eval_args, "--student", workspace["teacher"], "--data", path],
+            "teacher": lambda path: [*eval_args, "--student", path, "--data", workspace["data"]],
+            "index": lambda path: ["distill", "--config", workspace["config"],
+                                   "--data", workspace["data"], "--teacher", workspace["teacher"],
+                                   "--index", path, "--out", root / f"run-{path.stem}"],
+        }
+        for seed, (name, command) in enumerate(commands.items()):
+            for i, damaged in enumerate(corruptions(workspace[name].read_bytes(), seed, count=3)):
+                path = root / f"damaged-{name}-{i}{workspace[name].suffix}"
+                path.write_bytes(damaged)
+                code, err = run_coss(*command(path))
+                assert code in (0, 3, 4) and "Traceback" not in err, (path.name, code, err)
+                assert len(err.splitlines()) <= 1, (path.name, err)
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub", "dangling"])
     def test_distill_out_at_or_under_a_file_fails_before_training(

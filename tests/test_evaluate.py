@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coss.evaluate
 import coss.linalg
 from coss.errors import NumericalError
 from coss.benchmark import benchmark_split
@@ -113,8 +114,21 @@ class TestKnnClassify:
         assert pred.tolist() == [3]
 
     def test_empty_train_rejected(self):
-        with pytest.raises(ValueError, match="empty train set"):
+        with pytest.raises(ValueError, match="train_emb must have at least one row"):
             knn_predict(np.zeros((0, 2)), [], [[1.0, 0.0]], k_eval=1)
+
+    def test_negative_train_label_rejected_even_if_never_voted(self):
+        train = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="train labels must be nonnegative"):
+            knn_predict(train, [-1, 0], [[0.0, 1.0]], k_eval=1)
+
+    def test_test_labels_checked_before_the_vote(self, monkeypatch):
+        def no_vote(*args, **kwargs):
+            raise AssertionError("voted before checking the test labels")
+
+        monkeypatch.setattr(coss.evaluate, "knn_predict", no_vote)
+        with pytest.raises(ValueError, match="labels length must equal test size"):
+            knn_classify(np.eye(2), [0, 1], np.eye(2), [0], k_eval=1)
 
     def test_nonpositive_k_eval_rejected(self):
         with pytest.raises(ValueError, match="k_eval"):
@@ -249,6 +263,16 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match="labels length must equal train size"):
             linear_probe(X, y[:-1], X, y)
 
+    def test_test_width_checked_before_training(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("trained before checking the test width")
+
+        monkeypatch.setattr(coss.evaluate, "_fit_probe", no_fit)
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(800, 8)), np.arange(800) % 4
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linear_probe(X, y, rng.normal(size=(50, 7)), np.arange(50) % 4)
+
     def test_diverged_fit_is_a_numerical_error(self):
         X, y = self.separable_blobs()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="diverged"):
@@ -306,7 +330,7 @@ class TestRecallAtK:
         assert base == scaled
 
     def test_empty_gallery_rejected(self):
-        with pytest.raises(ValueError, match="empty gallery"):
+        with pytest.raises(ValueError, match="gallery_emb must have at least one row"):
             recall_at_k(np.ones((1, 2)), np.zeros((0, 2)), [0], [], K=1)
 
     def test_query_labels_must_match_query_rows(self):
@@ -320,6 +344,10 @@ class TestRecallAtK:
         y = np.arange(50) % 4
         with pytest.raises(ValueError, match="labels length must equal gallery size"):
             recall_at_k(X, X, y, y[:-1])
+
+    def test_query_width_must_match_gallery_width(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            recall_at_k(np.ones((3, 4)), np.ones((5, 3)), [0] * 3, [0] * 5)
 
     def test_exclude_self_needs_matching_sizes(self):
         with pytest.raises(ValueError, match="equal size"):

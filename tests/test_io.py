@@ -2,6 +2,7 @@
 
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from coss.io import (
 from coss.knn import NeighborIndex, build_index
 from coss.models import Layer, MlpModel
 
-from conftest import random_dataset, random_index, random_model
+from conftest import corruptions, random_dataset, random_index, random_model
+
+SIGNALLING_NAN = struct.pack("<I", 0x7F800001)  # casts to float64 with an "invalid" warning
 
 
 def f32(values):
@@ -85,6 +88,14 @@ class TestDatasetFormat:
         with pytest.raises(NumericalError, match="non-finite"):
             decode_dataset(bytes(blob))
 
+    def test_signalling_nan_is_a_numerical_error_without_a_warning(self):
+        blob = bytearray(encode_dataset(Dataset(f32(np.ones((2, 3))))))
+        blob[25:29] = SIGNALLING_NAN  # the first f32 after the header
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                decode_dataset(bytes(blob))
+
     @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
     def test_value_beyond_float32_is_not_written(self, tmp_path, value):
         # it would be stored as inf, which decode_dataset rejects
@@ -103,8 +114,14 @@ class TestDatasetFormat:
     def test_negative_label_rejected(self):
         blob = bytearray(encode_dataset(Dataset(f32(np.ones((1, 1))), labels=[0])))
         blob[-8:] = struct.pack("<q", -5)
-        with pytest.raises(FormatError, match="negative label"):
+        with pytest.raises(FormatError, match="labels must be nonnegative"):
             decode_dataset(bytes(blob))
+
+    @pytest.mark.parametrize("n,dim", [(0, 3), (3, 0), (2**64 - 1, 0)])
+    def test_empty_dataset_rejected(self, n, dim):
+        blob = b"CSSD" + struct.pack("<IQQB", 1, n, dim, 0)  # n * dim == 0: no payload
+        with pytest.raises(FormatError):
+            decode_dataset(blob)
 
     def test_bad_label_flag_rejected(self):
         blob = bytearray(encode_dataset(Dataset(f32(np.ones((1, 1))))))
@@ -153,9 +170,11 @@ class TestIndexFormat:
             decode_index(blob)
 
     def test_degenerate_dimensions_rejected(self):
-        blob = b"CSSK" + struct.pack("<IQQ", 1, 1, 1)
-        with pytest.raises(FormatError, match="bad index dimensions"):
-            decode_index(blob)
+        # complete payloads, so NeighborIndex and not the byte layout rejects them
+        for n, pool, neighbors, match in [(1, 1, [0], "pool too large"), (3, 0, [], "pool ≥ 1")]:
+            blob = b"CSSK" + struct.pack("<IQQ", 1, n, pool) + np.array(neighbors, "<u4").tobytes()
+            with pytest.raises(FormatError, match=match):
+                decode_index(blob)
 
 
 class TestModelFormat:
@@ -186,7 +205,7 @@ class TestModelFormat:
 
     def test_zero_layer_model_rejected(self):
         blob = b"CSSM" + struct.pack("<II", 1, 0)
-        with pytest.raises(FormatError, match="no layers"):
+        with pytest.raises(FormatError, match="at least one layer"):
             decode_model(blob)
 
     def test_broken_chain_rejected(self):
@@ -210,6 +229,20 @@ class TestModelFormat:
         )
         with pytest.raises(NumericalError, match="non-finite"):
             decode_model(blob)
+
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_signalling_nan_is_a_numerical_error_without_a_warning(self, part):
+        blob = (
+            b"CSSM"
+            + struct.pack("<II", 1, 1)
+            + struct.pack("<IIB", 1, 1, 0)
+            + (struct.pack("<I", 0x7FA00000) + struct.pack("<f", 0.0) if part == "weight"
+               else struct.pack("<f", 1.0) + SIGNALLING_NAN)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                decode_model(blob)
 
     @pytest.mark.parametrize("part", ["weight", "bias"])
     @pytest.mark.parametrize("value", [1e39, np.inf, np.nan])
@@ -242,6 +275,39 @@ class TestRandomPayloadRoundTrips:
             assert encode_index(decode_index(idx_blob)) == idx_blob
             m_blob = encode_model(random_model(rng))
             assert encode_model(decode_model(m_blob)) == m_blob
+
+
+class TestCorruptionSweep:
+    """Damaged files decode or raise FormatError or NumericalError, and never warn.
+
+    A flip inside a float payload may still decode to other values; only a
+    checksum would catch that.
+    """
+
+    @pytest.mark.parametrize("seed,fmt", enumerate(["dataset", "index", "model"]))
+    def test_every_case_decodes_or_raises_a_documented_error(self, seed, fmt):
+        rng = np.random.default_rng(2024)
+        # values in [1, 1.5): one flip of the top exponent bit makes a signalling NaN
+        inputs = rng.uniform(1.0, 1.5, size=(12, 5)) * rng.choice([-1.0, 1.0], size=(12, 5))
+        encode, decode, value = {
+            "dataset": (encode_dataset, decode_dataset, Dataset(inputs, np.arange(12) % 3)),
+            "index": (encode_index, decode_index, build_index(inputs, pool=3)),
+            "model": (encode_model, decode_model,
+                      MlpModel([Layer(inputs[:, :4], inputs[:, 4], "relu"),
+                                Layer(inputs.T[:3], inputs[3:6, 0], "identity")])),
+        }[fmt]
+        outcomes = {"decoded": 0, FormatError: 0, NumericalError: 0}
+        for damaged in corruptions(encode(value), seed, count=300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    decode(damaged)
+                    outcomes["decoded"] += 1
+                except (FormatError, NumericalError) as exc:
+                    outcomes[type(exc)] += 1
+        assert outcomes[FormatError] > 0
+        if fmt != "index":
+            assert outcomes[NumericalError] > 0
 
 
 class TestAtomicWrite:

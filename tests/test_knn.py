@@ -83,6 +83,10 @@ class TestNeighborIndexInvariants:
         with pytest.raises(ValueError, match="out of range"):
             NeighborIndex(n=3, pool=1, neighbors=[[5], [0], [0]])
 
+    def test_rejects_empty_pool(self):
+        with pytest.raises(ValueError, match="pool ≥ 1"):
+            NeighborIndex(n=3, pool=0, neighbors=np.empty((3, 0), dtype=np.int64))
+
 
 def per_anchor_draw(index, anchors, k, rng):
     """The reference: one ``rng.permutation(pool)[:k]`` per anchor, in anchor order."""

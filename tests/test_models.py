@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coss.config import DistillConfig
+from coss.errors import NumericalError
 from coss.losses import objective
 from coss.models import (
     Layer,
@@ -333,6 +334,19 @@ class TestModelContainer:
     def test_bias_length_must_match(self):
         with pytest.raises(ValueError, match="bias length"):
             Layer(np.ones((3, 2)), np.zeros(2), "relu")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)])
+    def test_weight_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(ValueError, match="layer weight must"):
+            Layer(np.ones(shape), np.zeros(shape[0]), "relu")
+
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_numerical_errors(self, part, value):
+        params = {"weight": np.ones((2, 3)), "bias": np.zeros(2)}
+        params[part].flat[1] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            Layer(params["weight"], params["bias"], "relu")
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
