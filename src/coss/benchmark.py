@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DistillConfig
 from .data import Dataset
-from .evaluate import holdout_knn_accuracy, holdout_split
+from .evaluate import holdout_split, knn_classify
 from .models import MlpModel, MlpSpec, forward, init_model
 
 N_SAMPLES = 1000
@@ -62,4 +62,5 @@ def benchmark_config(**overrides) -> DistillConfig:
 def model_accuracy(model: MlpModel, dataset: Dataset, k_eval: int = K_EVAL) -> float:
     """k-NN accuracy of the model's embedding of ``dataset`` under the fixed split."""
     emb, _ = forward(model, dataset.inputs)
-    return holdout_knn_accuracy(emb, dataset.labels, _SPLIT_SEED, k_eval)
+    train, test = benchmark_split()
+    return knn_classify(emb[train], dataset.labels[train], emb[test], dataset.labels[test], k_eval)

@@ -16,12 +16,12 @@ import time
 import numpy as np
 
 from . import io
-from .config import DistillConfig, config_hash, load_config, render_config
+from .config import config_hash, load_config, render_config
 from .data import Dataset
 from .distill import ABLATION_GRIDS, ablate, distill, teacher_embeddings
 from .errors import ConfigError, FormatError, NumericalError
-from .evaluate import (alignment_diagnostics, check_k_eval, holdout_knn_accuracy, holdout_split,
-                       knn_classify, linear_probe, recall_at_k)
+from .evaluate import (alignment_diagnostics, check_k_eval, holdout_split, knn_classify,
+                       linear_probe, recall_at_k)
 from .knn import build_index
 from .models import forward
 
@@ -130,20 +130,19 @@ def cmd_eval(args) -> int:
     emb, _ = forward(student, dataset.inputs)
     records: list[tuple[str, object]] = [("suite", args.suite)]
 
-    if args.suite == "knn":
+    if args.suite in ("knn", "probe", "retrieval"):
         labels = _require_labels(dataset, args.suite)
-        acc = holdout_knn_accuracy(emb, labels, args.split_seed, args.k_eval)
+    if args.suite in ("knn", "probe"):
+        train_idx, test_idx = holdout_split(dataset.n, args.split_seed)
+        held_out = (emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx])
+
+    if args.suite == "knn":
+        acc = knn_classify(*held_out, args.k_eval)
         records += [("k_eval", args.k_eval), ("accuracy", acc)]
     elif args.suite == "probe":
-        labels = _require_labels(dataset, args.suite)
-        train_idx, test_idx = holdout_split(dataset.n, args.split_seed)
-        # a diverging fit warns on its way to the one-line NumericalError
-        with np.errstate(all="ignore"):
-            acc = linear_probe(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx],
-                               epochs=args.epochs, lr=args.lr, seed=args.split_seed)
+        acc = linear_probe(*held_out, epochs=args.epochs, lr=args.lr, seed=args.split_seed)
         records += [("epochs", args.epochs), ("accuracy", acc)]
     elif args.suite == "retrieval":
-        labels = _require_labels(dataset, args.suite)
         rec = recall_at_k(emb, emb, labels, labels, K=args.recall_k, exclude_self=True)
         records += [("K", args.recall_k), ("recall", rec)]
     elif args.suite == "align":
@@ -264,7 +263,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # coss's own finiteness checks decide exit 4; numpy's warnings on the way add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

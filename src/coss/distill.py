@@ -10,7 +10,6 @@ single seeded generator, so a run is a pure function of
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ from .models import MlpModel, MlpSpec, SgdState, backward, forward, init_model, 
 
 @dataclass(frozen=True)
 class StepRecord:
-    epoch: int
     step: int          # global step, 0-based
     l_co: float
     l_ss: float
@@ -37,11 +35,9 @@ class StepRecord:
 
 @dataclass
 class RunLog:
-    config: DistillConfig
     steps: list[StepRecord] = field(default_factory=list)
     epoch_metrics: list[dict] = field(default_factory=list)
     steps_per_epoch: int = 0
-    wall_time: float = 0.0
 
 
 def teacher_embeddings(teacher, inputs: np.ndarray) -> np.ndarray:
@@ -109,8 +105,7 @@ def distill(
         params = params + [bn.gamma, bn.beta_shift]
     opt = SgdState(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
-    log = RunLog(config=config, steps_per_epoch=-(-n // config.batch_size))
-    t0 = time.perf_counter()
+    log = RunLog(steps_per_epoch=-(-n // config.batch_size))
     global_step = 0
 
     for epoch in range(config.epochs):
@@ -132,14 +127,11 @@ def distill(
 
             sgd_step(params, backward(chain, cache, G) + bn_grads, opt)
 
-            log.steps.append(
-                StepRecord(epoch=epoch, step=global_step, l_co=l_co, l_ss=l_ss, l_total=l_total)
-            )
+            log.steps.append(StepRecord(step=global_step, l_co=l_co, l_ss=l_ss, l_total=l_total))
             global_step += 1
         if eval_hook is not None:
             log.epoch_metrics.append(eval_hook(student.copy(), epoch))
 
-    log.wall_time = time.perf_counter() - t0
     return student, log
 
 

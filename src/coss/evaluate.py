@@ -73,13 +73,6 @@ def holdout_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return perm[n_test:], perm[:n_test]
 
 
-def holdout_knn_accuracy(emb, labels, seed: int, k_eval: int) -> float:
-    """``knn_classify`` of the held-out rows of ``emb`` against the rest, split by ``holdout_split``."""
-    labels = np.asarray(labels)
-    train_idx, test_idx = holdout_split(len(labels), seed)
-    return knn_classify(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k_eval)
-
-
 def _fit_probe(X: np.ndarray, t: np.ndarray, C: int, epochs: int, lr: float,
                seed: int) -> np.ndarray:
     """Weights (d + 1, C) of softmax regression on ``X`` and class ids ``t``, by full-batch GD.

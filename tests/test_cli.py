@@ -84,6 +84,24 @@ def workspace(tmp_path):
     return paths
 
 
+@pytest.fixture
+def diverging_bench(tmp_path):
+    """The bundled benchmark, indexed, with a config whose lr of 1e300 diverges at once.
+
+    The benchmark's 8-D student trains through a head to its 16-D teacher;
+    at lr 1e300 the head is the first to see the overflow.  ``args`` are the
+    inputs that ``distill`` and ``ablate`` share.
+    """
+    data, teacher = tmp_path / "bench.cssd", tmp_path / "teacher.cssm"
+    index, config = tmp_path / "nn.cssk", tmp_path / "diverge.ini"
+    write_dataset(data, make_benchmark_dataset())
+    write_model(teacher, make_benchmark_teacher())
+    config.write_text(render_config(benchmark_config(lr=1e300, epochs=2)), encoding="utf-8")
+    inputs = ["--data", str(data), "--teacher", str(teacher)]
+    assert main(["precompute", *inputs, "--pool", "16", "--out", str(index)]) == 0
+    return {"root": tmp_path, "args": [*inputs, "--config", str(config), "--index", str(index)]}
+
+
 def run_coss(*argv):
     """Exit code and stderr of ``coss *argv`` in a fresh interpreter, warnings shown as a user sees them."""
     env = dict(os.environ)
@@ -637,21 +655,17 @@ class TestExitCodes:
         assert "float32 cannot hold" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_diverging_run_with_a_projection_head_is_a_numerical_error(self, tmp_path, capsys):
-        # the benchmark's 8-D student trains through a head to its 16-D teacher;
-        # at lr 1e300 the head is the first to see the overflow
-        data, teacher = tmp_path / "bench.cssd", tmp_path / "teacher.cssm"
-        index, config = tmp_path / "nn.cssk", tmp_path / "diverge.ini"
-        write_dataset(data, make_benchmark_dataset())
-        write_model(teacher, make_benchmark_teacher())
-        config.write_text(render_config(benchmark_config(lr=1e300, epochs=2)), encoding="utf-8")
-        inputs = ["--data", str(data), "--teacher", str(teacher)]
-        assert main(["precompute", *inputs, "--pool", "16", "--out", str(index)]) == 0
-        out_dir = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                ["distill", "--config", str(config), *inputs, "--index", str(index), "--out", str(out_dir)]
-            )
+    def test_diverging_run_with_a_projection_head_is_a_numerical_error(self, diverging_bench, capsys):
+        out_dir = diverging_bench["root"] / "run"
+        code = main(["distill", *diverging_bench["args"], "--out", str(out_dir)])
         assert code == 4
-        assert "numerical error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numerical error: non-finite embeddings at step 1\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [["distill"], ["ablate", "--grid", "components"]])
+    def test_diverging_command_prints_one_line_and_no_warning(self, diverging_bench, command):
+        out = diverging_bench["root"] / "out"
+        code, err = run_coss(*command, *diverging_bench["args"], "--out", out)
+        assert code == 4
+        assert err.splitlines() == ["numerical error: non-finite embeddings at step 1"]
+        assert not out.exists()

@@ -214,7 +214,6 @@ class TestRunLog:
         assert log.steps_per_epoch == 3  # ceil(20 / 8)
         assert len(log.steps) == 4 * 3
         assert [r.step for r in log.steps] == list(range(12))
-        assert log.wall_time > 0.0
 
     def test_eval_hook_runs_once_per_epoch_on_a_snapshot(self):
         ds, teacher, _, idx = make_setup()

@@ -12,11 +12,11 @@ from hypothesis.extra.numpy import arrays
 import coss.evaluate
 import coss.linalg
 from coss.errors import NumericalError
-from coss.benchmark import benchmark_split
+from coss.benchmark import (benchmark_split, make_benchmark_dataset, make_benchmark_teacher,
+                            model_accuracy)
 from coss.evaluate import (
     _fit_probe,
     alignment_diagnostics,
-    holdout_knn_accuracy,
     holdout_split,
     knn_classify,
     knn_predict,
@@ -25,6 +25,7 @@ from coss.evaluate import (
 )
 from coss.knn import build_index
 from coss.losses import loss_co, loss_ss
+from coss.models import forward
 
 from conftest import brute_cosine, distinct_directions, reference_probe_weights
 
@@ -191,11 +192,11 @@ class TestHoldoutSplit:
             np.testing.assert_array_equal(got, want)
 
     def test_knn_accuracy_scores_the_held_out_rows(self):
-        rng = np.random.default_rng(4)
-        emb, labels = rng.normal(size=(40, 3)), rng.integers(0, 3, size=40)
-        train, test = holdout_split(40, 9)
+        dataset, teacher = make_benchmark_dataset(), make_benchmark_teacher()
+        emb, labels = forward(teacher, dataset.inputs)[0], dataset.labels
+        train, test = holdout_split(1000, 415)
         want = knn_classify(emb[train], labels[train], emb[test], labels[test], 3)
-        assert holdout_knn_accuracy(emb, labels, 9, 3) == want
+        assert model_accuracy(teacher, dataset, k_eval=3) == want
 
 
 class TestLinearProbe:
