@@ -1,7 +1,9 @@
 """Dataset container, neighbour-enhanced batch composition, augmentation.
 
 Labels ride along for evaluation only; the training path strips them by
-construction and never looks at them.
+construction and never looks at them.  ``Dataset`` validates its arrays;
+``epoch_batches``, ``compose_batch`` and ``augment`` are ``distill``'s step
+kernels and take what ``distill`` checked.
 """
 
 from __future__ import annotations
@@ -54,12 +56,8 @@ def epoch_batches(n: int, b: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Chunk a seeded permutation of [0, n) into ceil(n/b) batches.
 
     The final batch may be short; every sample anchors exactly one batch
-    per epoch.
+    per epoch.  Takes the ``1 <= b <= n`` that ``distill`` checked.
     """
-    if b < 1:
-        raise ValueError("batch_size ≥ 1")
-    if b > n:
-        raise ValueError("batch_size ≤ sample count")
     perm = rng.permutation(n)
     return [perm[start : start + b] for start in range(0, n, b)]
 
@@ -69,17 +67,16 @@ def compose_batch(anchors, index: NeighborIndex, k: int, rng: np.random.Generato
 
     The anchors come first, then the k sampled neighbours of each anchor in
     anchor order, so every batch is reproducible from the rng stream alone.
+    Takes ``distill``'s int64 anchors and its checked ``0 <= k <= index.pool``.
     """
-    anchors = np.asarray(anchors, dtype=np.int64)
     picks = sample_neighbors(index, anchors, k, rng)
     return np.concatenate([anchors, picks.ravel()])
 
 
 def augment(X, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise, entrywise: X + sigma * G."""
-    if sigma < 0:
-        raise ValueError("aug_sigma ≥ 0")
-    A = as_matrix(X)
-    if sigma == 0.0:
-        return A.copy()
-    return A + sigma * rng.standard_normal(A.shape)
+    """Additive Gaussian noise, entrywise: X + sigma * G.
+
+    Takes ``distill``'s checked float64 batch and ``sigma >= 0``, and draws
+    the noise even when ``sigma`` is 0; ``distill`` skips the call then.
+    """
+    return X + sigma * rng.standard_normal(X.shape)

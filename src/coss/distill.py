@@ -66,7 +66,9 @@ def distill(
     ``teacher`` is a frozen MlpModel or a precomputed (n, d_t) embedding
     matrix (the latter only with aug_sigma = 0).  ``eval_hook``, when
     given, is called as ``eval_hook(student, epoch)`` after every epoch
-    and its result is appended to the log.
+    and its result is appended to the log.  The arguments are checked here,
+    before the first draw; the step kernels (``epoch_batches``, ``compose_batch``,
+    ``sample_neighbors``, ``augment``, ``backward``, ``sgd_step``) trust it.
     """
     validate_config(config)
     X = dataset.inputs  # training never touches dataset.labels
@@ -75,6 +77,8 @@ def distill(
         raise ValueError("index/dataset size mismatch")
     if config.pool != index.pool:
         raise ConfigError(f"config pool {config.pool} ≠ index pool {index.pool}")
+    if config.batch_size > n:
+        raise ConfigError(f"batch_size {config.batch_size} > sample count {n}")
     last_rows = (n % config.batch_size or config.batch_size) * (1 + config.k)
     if config.loss_variant == "bn" and last_rows < 2:
         raise ConfigError(f"bn needs ≥ 2 rows per batch, the epoch's last batch has {last_rows}")
@@ -111,7 +115,7 @@ def distill(
     for epoch in range(config.epochs):
         for anchors in epoch_batches(n, config.batch_size, rng):
             rows = compose_batch(anchors, index, config.k, rng)
-            # X[rows] is a fresh copy already, and zero noise draws nothing
+            # X[rows] is a fresh copy already; here alone zero noise draws nothing
             X_aug = augment(X[rows], config.aug_sigma, rng) if config.aug_sigma else X[rows]
             A_t = forward(teacher, X_aug)[0] if dump is None else dump[rows]
 

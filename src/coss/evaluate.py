@@ -1,7 +1,9 @@
 """Embedding-quality evaluation: k-NN vote, linear probe, retrieval, alignment.
 
 Everything here runs on frozen embeddings.  Cosine is the distance
-throughout, matching the geometry the distillation losses optimise.
+throughout, matching the geometry the distillation losses optimise.  Each
+public function validates every matrix it takes once, through ``as_matrix``,
+and works on the checked copies from then on.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import DEFAULT_EPS, as_matrix, column_cosines, cosine_top_k, l2_normalize
-from .losses import _check_pair, loss_co
+from .linalg import DEFAULT_EPS, as_matrix, column_cosines, cosine_top_k, row_cosines, unit_rows
+from .losses import _check_pair
 
 
 def check_k_eval(k_eval: int) -> None:
@@ -46,7 +48,7 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     Q = as_matrix(test_emb, "test_emb")
     if Q.shape[1] != X.shape[1]:
         raise ValueError("shape mismatch")
-    E, Q = l2_normalize(X), l2_normalize(Q)
+    E, Q = unit_rows(X)[1], unit_rows(Q)[1]
     k_eval = min(k_eval, E.shape[0])
     n_classes = int(labels.max()) + 1
     pred = np.empty(Q.shape[0], dtype=np.int64)
@@ -155,7 +157,7 @@ def recall_at_k(query_emb, gallery_emb, query_labels, gallery_labels, K: int = 1
     K = min(K, G.shape[0] - (1 if exclude_self else 0))
     if K < 1:
         raise ValueError("K ≥ 1")
-    G, Q = l2_normalize(G), l2_normalize(Q)
+    G, Q = unit_rows(G)[1], unit_rows(Q)[1]
     hits = np.empty(Q.shape[0], dtype=bool)
     for start, top in cosine_top_k(Q, G, K, exclude_self=exclude_self):
         stop = start + len(top)
@@ -183,5 +185,6 @@ def alignment_diagnostics(A_s, A_t) -> AlignmentDiagnostics:
     np.clip(cosines, -1.0, 1.0, out=cosines)
     scales = np.where(tn > DEFAULT_EPS, sn / np.maximum(tn, DEFAULT_EPS), 0.0)
     return AlignmentDiagnostics(
-        per_dim_cosine=cosines, per_dim_scale=scales, mean_row_cosine=-loss_co(S, T)
+        per_dim_cosine=cosines, per_dim_scale=scales,
+        mean_row_cosine=float(np.mean(row_cosines(S, T)[4])),
     )

@@ -2,7 +2,8 @@
 
 All functions operate on 2-D float64 arrays (rows = samples, columns =
 feature dimensions) and never mutate their inputs.  Only ``as_matrix`` and
-``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``.
+``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``,
+which are C-ordered, so no kernel decides a memory layout again.
 Outside the file formats, float32 appears only in ``cosine_top_k``'s BLAS
 screen, which picks candidates and never decides an order.
 """
@@ -19,8 +20,12 @@ DEFAULT_EPS = 1e-12
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce ``M`` to a 2-D float64 array with at least one row and column."""
-    A = np.asarray(M, dtype=np.float64)
+    """Coerce ``M`` to a C-ordered 2-D float64 array with at least one row and column.
+
+    A C-ordered float64 array comes back as itself.  einsum rounds by memory
+    layout, so this is the one place that fixes it.
+    """
+    A = np.asarray(M, dtype=np.float64, order="C")
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
     if A.shape[0] < 1 or A.shape[1] < 1:
@@ -60,8 +65,7 @@ def column_cosines(S: np.ndarray, T: np.ndarray):
 
 def l2_normalize(M) -> np.ndarray:
     """Validate ``M`` and scale each row to unit L2 norm (see ``unit_rows``)."""
-    # a Fortran-ordered copy of the same rows would rank differently
-    return unit_rows(np.ascontiguousarray(as_matrix(M)))[1]
+    return unit_rows(as_matrix(M))[1]
 
 
 def _candidates(sims: np.ndarray, k: int, margin: float = 0.0):
@@ -191,10 +195,10 @@ def _rank_block(Qb: np.ndarray, G: np.ndarray, G32: np.ndarray, k: int, self_off
 def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = False):
     """Yield ``(start, top)`` per block of rows of ``Q``, ranking the rows of ``G``.
 
-    ``Q`` and ``G`` hold rows of norm about 1 (``l2_normalize`` output);
-    ``top[r]`` lists the ``k`` rows of ``G`` most cosine-similar to
+    ``Q`` and ``G`` hold C-ordered rows of norm about 1 (``l2_normalize``
+    output); ``top[r]`` lists the ``k`` rows of ``G`` most cosine-similar to
     ``Q[start + r]``, best first.  Similarity is the *computed* cosine,
-    ``np.einsum("id,jd->ij")`` of the C-ordered rows, not the exact one:
+    ``np.einsum("id,jd->ij")`` of those rows, not the exact one:
     rows that tie in exact arithmetic but round apart are ordered by their
     computed values, and only computed ties go to the lower index.  Each
     similarity depends on its two rows alone, so no block size or query
@@ -209,9 +213,6 @@ def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = Fals
     float32 rounding cannot push a top-k column below; the einsum values of
     those candidates alone decide the order.
     """
-    # einsum rounds differently on Fortran-ordered rows
-    Q = np.ascontiguousarray(Q)
-    G = np.ascontiguousarray(G)
     G32 = G.astype(np.float32)
     n_q, n_g = Q.shape[0], G.shape[0]
     step = max(1, min(BLOCK_ROWS, BLOCK_SIMS // n_g))

@@ -33,9 +33,7 @@ def _check_pair(A_s, A_t):
 
 def loss_co(A_s, A_t) -> float:
     """Negative mean cosine between matching rows of the two matrices."""
-    S, T = _check_pair(A_s, A_t)
-    # einsum rounds differently on other layouts
-    return -float(np.mean(row_cosines(np.ascontiguousarray(S), np.ascontiguousarray(T))[4]))
+    return -float(np.mean(row_cosines(*_check_pair(A_s, A_t))[4]))
 
 
 def loss_ss(A_s, A_t) -> float:

@@ -2,7 +2,9 @@
 
 The teacher is one of these, frozen; the student is another, trained.
 Reverse-mode gradients are hand-written so the whole stack stays
-checkable against finite differences at float64.
+checkable against finite differences at float64.  ``Layer``, ``MlpModel``,
+``MlpSpec`` and ``forward`` validate; ``backward`` and ``sgd_step`` are
+``distill``'s step kernels and trust what it built.
 """
 
 from __future__ import annotations
@@ -147,15 +149,12 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list]:
 def backward(model: MlpModel, cache: list, G) -> list[np.ndarray]:
     """Exact reverse-mode gradients of the chain's parameters.
 
-    ``G`` is the loss gradient at the model output; it is left unchanged.
-    Returns them in :meth:`MlpModel.parameters` order.  Nothing reads a
-    gradient for the model input, so none is formed.
+    ``G`` is the float64 loss gradient at the model output, one row per
+    cached input row; it is left unchanged.  ``cache`` is this model's
+    :func:`forward` cache, as ``distill`` passes them.  Returns the gradients
+    in :meth:`MlpModel.parameters` order.  Nothing reads a gradient for the
+    model input, so none is formed.
     """
-    G = np.asarray(G, dtype=np.float64)
-    if len(cache) != len(model.layers):
-        raise ValueError("cache does not match model depth")
-    if G.shape != (cache[-1][1].shape[0], model.output_dim):
-        raise ValueError("gradient shape does not match model output")
     grads: list[np.ndarray] = [None] * (2 * len(model.layers))
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -181,15 +180,12 @@ class SgdState:
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], state: SgdState) -> None:
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    Parameters and velocity buffers are updated in place.
+    Parameters and velocity buffers are updated in place.  Takes one
+    gradient per parameter, of its shape, as ``distill`` builds them.
     """
-    if len(params) != len(grads):
-        raise ValueError("params and grads differ in length")
     if state.velocities is None:
         state.velocities = [np.zeros_like(p) for p in params]
     for p, g, v in zip(params, grads, state.velocities):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape does not mirror parameter shape")
         v *= state.momentum
         if state.weight_decay != 0.0:
             v += g + state.weight_decay * p

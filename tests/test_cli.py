@@ -235,6 +235,17 @@ class TestDistill:
         assert "last batch has 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_batch_larger_than_the_dataset_is_a_usage_error(self, workspace, capsys):
+        # the workspace dataset has 20 samples
+        workspace["config"].write_text(CONFIG_TEXT.replace("batch_size = 5", "batch_size = 21"),
+                                       encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: batch_size 21 > sample count 20"
+        ]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("line", ["loss_variant = co%only", "epochs = %(x)s"])
     def test_percent_sign_is_a_usage_error(self, workspace, capsys, line):
         workspace["config"].write_text(f"[distill]\n{line}\n", encoding="utf-8")

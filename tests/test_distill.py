@@ -159,6 +159,28 @@ class TestTrainingLoop:
         _, log = distill(cfg.replace(k=1), ds, teacher, idx)  # 2 rows: trains
         assert len(log.steps) == 2
 
+    def test_oversized_batch_is_a_config_error_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the student was drawn")
+
+        monkeypatch.setattr(importlib.import_module("coss.distill"), "init_model", no_draw)
+        ds, teacher, _, idx = make_setup(n=24)
+        with pytest.raises(ConfigError, match="batch_size 25 > sample count 24"):
+            distill(small_config(batch_size=25), ds, teacher, idx)
+
+    def test_zero_sigma_draws_no_noise_and_leaves_the_data(self, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("augment was called")
+
+        monkeypatch.setattr(importlib.import_module("coss.distill"), "augment", no_noise)
+        ds, teacher, _, idx = make_setup()
+        before = ds.inputs.copy()
+        _, log = distill(small_config(aug_sigma=0.0), ds, teacher, idx)
+        assert len(log.steps) == 9  # 3 epochs of 24 / 8 batches
+        np.testing.assert_array_equal(ds.inputs, before)
+        with pytest.raises(AssertionError, match="augment was called"):
+            distill(small_config(aug_sigma=0.05), ds, teacher, idx)
+
 
 # SHA-256 of the student weights and of the (l_co, l_ss, l_total) log of a
 # 3-epoch run of the bundled benchmark, recorded before the training step

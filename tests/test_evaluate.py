@@ -408,21 +408,38 @@ class TestRecallAtK:
         assert peak < n * n  # an eighth of one dense n x n float64 array
 
 
-def test_fortran_order_never_changes_a_ranking():
+def fortran_ranking_cases():
+    """``(rows, k)`` whose order is decided in the last bits, or by ties."""
     rng = np.random.default_rng(13)
     for _ in range(5):
-        # near-duplicate rows, whose order is decided in the last bits
+        # near-duplicate rows
         base = rng.normal(size=(4, 12))
-        X = base[rng.integers(0, 4, size=60)] + rng.normal(size=(60, 12)) * 1e-13
+        yield base[rng.integers(0, 4, size=60)] + rng.normal(size=(60, 12)) * 1e-13, 5
+    for d in (1, 3, 17, 256):
+        for _ in range(4):
+            # small integer rows, many of them exact copies, some parallel
+            base = rng.integers(-2, 3, size=(int(rng.integers(2, 12)), d)).astype(float)
+            rows = base[rng.integers(0, len(base), size=60)] * rng.integers(1, 3, size=(60, 1))
+            yield rows, int(rng.integers(1, 21))
+
+
+def test_fortran_order_never_changes_a_ranking():
+    rng = np.random.default_rng(14)
+    for X, k in fortran_ranking_cases():
         F = np.asfortranarray(X)
         labels = rng.integers(0, 3, size=60)
         assert build_index(F, 8) == build_index(X, 8)
+        assert build_index(F, k) == build_index(X, k)
         np.testing.assert_array_equal(
-            knn_predict(F[:40], labels[:40], F[40:], 5), knn_predict(X[:40], labels[:40], X[40:], 5)
+            knn_predict(F[:40], labels[:40], F[40:], k), knn_predict(X[:40], labels[:40], X[40:], k)
         )
-        assert recall_at_k(F, F, labels, labels, 1, exclude_self=True) == recall_at_k(
-            X, X, labels, labels, 1, exclude_self=True
-        )
+        for K in (1, k):
+            assert recall_at_k(F, F, labels, labels, K, exclude_self=True) == recall_at_k(
+                X, X, labels, labels, K, exclude_self=True
+            )
+            assert recall_at_k(F[40:], F[:40], labels[40:], labels[:40], K) == recall_at_k(
+                X[40:], X[:40], labels[40:], labels[:40], K
+            )
 
 
 class TestAlignmentDiagnostics:

