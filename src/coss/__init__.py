@@ -5,8 +5,8 @@ embeddings without labels, by aligning both the per-sample feature rows
 and the per-dimension columns of the batch embedding matrices, with
 batches enhanced by precomputed nearest neighbours.
 
-The functions exported here check their arguments, bar ``objective``, the
-fused loss.  ``distill``'s step kernels trust its checks, so they are
+The functions exported here check their arguments.  ``distill``'s step
+kernels and ``objective``, the fused loss, trust its checks, so they are
 imported from their modules, as ``linalg``'s kernels are.
 """
 
@@ -24,7 +24,7 @@ from .evaluate import (
 )
 from .knn import NeighborIndex, build_index
 from .linalg import l2_normalize
-from .losses import BnParams, grad_co, grad_ss, loss_bn, loss_co, loss_ss, objective
+from .losses import BnParams, grad_co, grad_ss, loss_bn, loss_co, loss_ss
 from .models import MlpModel, MlpSpec, forward, init_model
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import DEFAULT_EPS, as_matrix, column_cosines, cosine_top_k, row_cosines, unit_rows
+from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, row_cosines, unit_rows
 from .losses import _check_pair
 
 
@@ -181,7 +181,7 @@ def alignment_diagnostics(A_s, A_t) -> AlignmentDiagnostics:
     ``-loss_ss``; ``mean_row_cosine`` is ``-loss_co``.
     """
     S, T = _check_pair(A_s, A_t)
-    sn, tn, _, _, cosines = column_cosines(S, T)
+    sn, tn, _, _, cosines = row_cosines(S.T, T.T)
     np.clip(cosines, -1.0, 1.0, out=cosines)
     scales = np.where(tn > DEFAULT_EPS, sn / np.maximum(tn, DEFAULT_EPS), 0.0)
     return AlignmentDiagnostics(

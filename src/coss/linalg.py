@@ -3,7 +3,8 @@
 All functions operate on 2-D float64 arrays (rows = samples, columns =
 feature dimensions) and never mutate their inputs.  Only ``as_matrix`` and
 ``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``,
-which are C-ordered, so no kernel decides a memory layout again.
+which are C-ordered, so no kernel decides a memory layout again.  Column
+cosines are ``row_cosines`` of the transposed views, never of copies.
 Outside the file formats, float32 appears only in ``cosine_top_k``'s BLAS
 screen, which picks candidates and never decides an order.
 """
@@ -53,14 +54,6 @@ def row_cosines(S: np.ndarray, T: np.ndarray):
     ns, S_hat = unit_rows(S)
     nt, T_hat = unit_rows(T)
     return ns, nt, S_hat, T_hat, np.einsum("ij,ij->i", S_hat, T_hat)
-
-
-def column_cosines(S: np.ndarray, T: np.ndarray):
-    """``row_cosines`` of the columns of ``S`` and ``T``: the terms ``l_ss`` averages.
-
-    Runs on C-ordered copies of the transposes, as einsum rounds by memory layout.
-    """
-    return row_cosines(np.ascontiguousarray(S.T), np.ascontiguousarray(T.T))
 
 
 def l2_normalize(M) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Two cosine terms make up the combined objective: a per-sample (row)
 alignment and a per-dimension (column) alignment computed on the
-transposed embedding matrices.  The combined loss is
+transposed views of the embedding matrices.  The column terms come from
+one ``row_cosines`` pass, which gives both the logged value and the
+gradient.  The combined loss is
 
     total = beta * (row_term + lam * column_term)
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, column_cosines, row_cosines
+from .linalg import DEFAULT_EPS, as_matrix, row_cosines
 
 
 def _check_pair(A_s, A_t):
@@ -37,8 +39,9 @@ def loss_co(A_s, A_t) -> float:
 
 
 def loss_ss(A_s, A_t) -> float:
-    """Negative mean cosine between matching columns; equals the row loss on transposes."""
-    return -float(np.mean(column_cosines(*_check_pair(A_s, A_t))[4]))
+    """Negative mean cosine between matching columns; the row loss on transposes, up to rounding."""
+    S, T = _check_pair(A_s, A_t)
+    return -float(np.mean(row_cosines(S.T, T.T)[4]))
 
 
 def _neg_cosine_row_grad(ns, nt, S_hat, T_hat, cos) -> np.ndarray:
@@ -55,11 +58,10 @@ def _neg_cosine_row_grad(ns, nt, S_hat, T_hat, cos) -> np.ndarray:
     return G
 
 
-def _space_grad(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    # on the transposed views: C-ordered copies would round differently
-    # and move the trained weights
-    G = _neg_cosine_row_grad(*row_cosines(S.T, T.T))
-    return np.divide(G, S.shape[1], out=G).T
+def _space_grad(col, d: int) -> np.ndarray:
+    """Gradient of the column term from ``row_cosines`` of the transposes of a d-wide pair."""
+    G = _neg_cosine_row_grad(*col)
+    return np.divide(G, d, out=G).T
 
 
 def grad_co(A_s, A_t) -> np.ndarray:
@@ -70,7 +72,8 @@ def grad_co(A_s, A_t) -> np.ndarray:
 
 def grad_ss(A_s, A_t) -> np.ndarray:
     """Gradient of the column term with respect to the student matrix."""
-    return _space_grad(*_check_pair(A_s, A_t))
+    S, T = _check_pair(A_s, A_t)
+    return _space_grad(row_cosines(S.T, T.T), S.shape[1])
 
 
 @dataclass
@@ -142,23 +145,20 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     value is bit-identical to the per-term functions' (``loss_co``,
     ``loss_ss``, ``grad_co``, ``grad_ss``, ``loss_bn``).
     """
-    row = row_cosines(A_s, A_t)
-    l_co = -float(np.mean(row[4]))
-    # column_cosines normalises C-ordered copies of the transposes, which
-    # round differently from the views the gradient uses
-    l_ss = -float(np.mean(column_cosines(A_s, A_t)[4]))
+    row, col = row_cosines(A_s, A_t), row_cosines(A_s.T, A_t.T)
+    l_co, l_ss = -float(np.mean(row[4])), -float(np.mean(col[4]))
     bn_grads = []
     if cfg.loss_variant == "bn":
         l_total, G, *bn_grads = _bn_terms(A_s, A_t, bn)
     elif cfg.loss_variant == "ss_only":
-        G, l_total = _space_grad(A_s, A_t), l_ss
+        G, l_total = _space_grad(col, A_s.shape[1]), l_ss
     else:
         G, l_total = _neg_cosine_row_grad(*row), l_co
         G /= A_s.shape[0]
         # lam == 0 goes through the same arithmetic as co_only, so the two
         # stay bit-identical under a shared seed
         if cfg.loss_variant == "coss" and cfg.lam != 0.0:
-            S = _space_grad(A_s, A_t)
+            S = _space_grad(col, A_s.shape[1])
             G += S if cfg.lam == 1.0 else cfg.lam * S
             l_total = l_co + cfg.lam * l_ss
     # a factor of 1.0 is exact, so skipping it changes no bit

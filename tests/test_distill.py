@@ -183,18 +183,20 @@ class TestTrainingLoop:
 
 
 # SHA-256 of the student weights and of the (l_co, l_ss, l_total) log of a
-# 3-epoch run of the bundled benchmark, recorded before the training step
-# was fused into losses.objective and the neighbour draw into one call.
+# 3-epoch run of the bundled benchmark.  The weights were recorded before the
+# training step was fused into losses.objective and the neighbour draw into
+# one call; the log when the logged l_ss moved onto the column pass the
+# gradient uses, which moved no weight.
 # A change here is a change of results: declare it, or find the bug.
 PINNED_RUNS = {
     "coss": ("909a3a007122fe7101f4f585c1202fd79e941fff1a223f6eb164e5ed40ed05c1",
-             "9bd2b372b201c4d04360b49bb261673df91ab63225f368052fec9cac9e17ad4f"),
+             "d7e2d51d765ec3c216e4e60dde100875ab19ae4cac6cb238b83012e275d8a7bb"),
     "co_only": ("3da6207b4757f6db3022e65d57d74defda0fc0e91dfc0f6466349979ba7fdebf",
-                "405e329c2cb5b2189f5ec458ccfde82cff13a5ffd344deef034cc1361fa5539c"),
+                "bf976c22bf2def7b819f1e38148e0b816751f67c1b12c7ee4c28b33f7ce750bf"),
     "ss_only": ("67ddcd48e193f18670bcc6540857012829222027d8cd89fb7be6ff7c51b9296e",
-                "e7b79ebf803aba7e8220d7c5d443f91707dda36241a4cbb7a67a97d566a6c377"),
+                "7324b7db909a82f3fe3cd3d2684a58a236e27323a1b6912b9972b769d2a81f4a"),
     "bn": ("8357998b771007cf83761b1ff06038f3ba100f50c5c28f420c79cfbeb7b01dbc",
-           "8a5c68bb0cdcf4a9b8cd5c525d35e7b8d871828dcd9c557385ccaa1790f5ce8d"),
+           "7b26753afb80e1f973020941722974226731f9c3cd2777d6be51162a19751913"),
 }
 
 

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coss.linalg as linalg_mod
+import coss.losses as losses_mod
 from conftest import assert_grad_close, brute_loss_co, brute_loss_ss, finite_diff
 from coss.config import DistillConfig, validate_config
 from coss.errors import ConfigError
+from coss.linalg import UNIT_ROUNDOFF, _gamma
 from coss.losses import (
     BnParams,
     grad_co,
@@ -128,11 +131,15 @@ class TestInvariances:
         d_c = rng.uniform(0.1, 10.0, size=(1, 4))
         assert loss_ss(S * d_c, T) == pytest.approx(loss_ss(S, T), abs=1e-10)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 16))
     @settings(max_examples=60)
-    def test_transpose_duality(self, seed):
-        S, T = random_pair(seed, shape=(5, 3))
-        assert loss_ss(S, T) == loss_co(S.T, T.T)
+    def test_transpose_duality(self, seed, b, d):
+        # loss_ss runs on the transposed views, loss_co on C-ordered copies of
+        # them, and einsum rounds by memory layout: equal up to b-term sums
+        S, T = random_pair(seed, shape=(b, d))
+        assert abs(loss_ss(S, T) - loss_co(S.T, T.T)) <= 4 * _gamma(b, UNIT_ROUNDOFF)
+        # the logged l_ss is the per-term function's, bit for bit
+        assert total(S, T, 1.0, 1.0)[1] == loss_ss(S, T)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -318,6 +325,24 @@ class TestObjective:
         bn = BnParams(rng.normal(size=cols), rng.normal(size=cols), eps=cfg.bn_eps)
         got = objective(S, T, cfg, bn if variant == "bn" else None)
         assert bits(got) == bits(per_term(S, T, cfg, bn))
+
+    @pytest.mark.parametrize("variant", OBJECTIVE_CONFIGS)
+    def test_makes_one_row_and_one_column_pass(self, monkeypatch, variant):
+        # the logged l_ss and the space gradient share the column pass
+        calls = []
+        real = linalg_mod.row_cosines
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (losses_mod, linalg_mod):
+            monkeypatch.setattr(module, "row_cosines", counted)
+        S, T = random_pair(3, shape=(6, 3))
+        cfg = DistillConfig(**OBJECTIVE_CONFIGS[variant])
+        bn = BnParams(np.ones(3), np.zeros(3), eps=cfg.bn_eps) if variant == "bn" else None
+        objective(S, T, cfg, bn)
+        assert len(calls) == 2
 
     def test_bn_is_scaled_by_beta(self):
         S, T = random_pair(7, shape=(6, 3))

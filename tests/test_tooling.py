@@ -1,6 +1,7 @@
 """The test configuration and the source tree's own hygiene."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -80,3 +81,39 @@ def test_every_import_is_used():
 def test_unused_import_check_sees_an_unused_name():
     source = "import os\nimport sys  # noqa: F401\nfrom a import b, c\nprint(b)\n"
     assert unused_imports(source) == ["c (line 3)", "os (line 1)"]
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_summary_on_fixed_numbers():
+    summarize = load_script("bench_pair").summarize
+    s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 2.0, 3.0, 6.0], "lower")
+    assert (s["rev_median"], s["rev_iqr"], s["change_median"], s["change_iqr"]) == (3.0, 2.0, 2.0, 1.0)
+    assert s["ratio"] == 2.0 / 3.0
+    # the tied pair (2.0, 2.0) is a win for neither side
+    assert (s["change_wins"], s["rev_wins"], s["pairs"]) == (3, 1, 5)
+    assert s["unresolved"]  # REV's IQR 2.0 exceeds the gap 1.0
+    s = summarize([10.0, 10.0, 10.0], [11.0, 12.0, 9.0], "higher")
+    assert (s["rev_median"], s["rev_iqr"], s["change_median"]) == (10.0, 0.0, 11.0)
+    assert (s["change_wins"], s["rev_wins"]) == (2, 1)
+    assert not s["unresolved"]
+
+
+def test_bench_pair_rejects_a_bad_revision_before_any_run(monkeypatch, capsys):
+    bench_pair = load_script("bench_pair")
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pair, "run_pairs", no_run)
+    monkeypatch.setattr(bench_pair, "export", no_run)
+    assert bench_pair.main(["--against", "no-such-revision", "--record", "never"]) != 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (ROOT / "BENCH_never.json").exists()
