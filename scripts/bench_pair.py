@@ -12,8 +12,10 @@ both on the same seed, with the side that runs first swapped every pair.
 Per end-to-end metric it prints both medians, both interquartile ranges,
 the ratio change / REV and how many pairs each side won (ties count for
 neither).  A metric is "unresolved" when REV's IQR exceeds the gap between
-the medians.  ``--record TAG`` also writes every run and that summary to
-``BENCH_<TAG>.json`` at the repository root.
+the medians, and "worse" when the change's median is worse than REV's, in
+the metric's ``better`` direction, by more than its ``bound`` (a fraction
+of REV's median).  ``--record TAG`` also writes every run and that summary
+to ``BENCH_<TAG>.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(rev: list[float], change: list[float], better: str) -> dict:
-    """Medians, IQRs, ratio and wins of one metric over pairs ``(rev[i], change[i])``.
+def summarize(rev: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Medians, IQRs, ratio, wins and verdicts of one metric over pairs ``(rev[i], change[i])``.
 
     ``better`` is ``"lower"`` or ``"higher"``.  A tied pair is a win for
     neither side.  The metric is unresolved when REV's IQR is larger than
-    the gap between the two medians.
+    the gap between the two medians, and worse when the change's median is
+    worse than REV's by more than ``bound`` times REV's median.
     """
     sign = -1.0 if better == "lower" else 1.0
     rev_median, change_median = statistics.median(rev), statistics.median(change)
@@ -66,6 +69,7 @@ def summarize(rev: list[float], change: list[float], better: str) -> dict:
         "rev_wins": sum(sign * (r - c) > 0 for r, c in zip(rev, change)),
         "pairs": len(rev),
         "unresolved": rev_iqr > abs(change_median - rev_median),
+        "worse": sign * (rev_median - change_median) > bound * abs(rev_median),
     }
 
 
@@ -125,13 +129,15 @@ def run_pairs(trees: dict[str, Path], bench: dict) -> dict:
         for metric in bench["end_to_end"]:
             name = metric["name"]
             values = {side: [r["metrics"][name] for r in runs if r["side"] == side] for side in SIDES}
-            summary[name] = summarize(values["rev"], values["change"], metric["better"])
+            summary[name] = summarize(values["rev"], values["change"], metric["better"],
+                                      metric["bound"])
         results[workload] = {"summary": summary, "runs": runs}
     return results
 
 
 def table(results: dict) -> str:
-    rows = ["workload\tmetric\trev_median\trev_iqr\tchange_median\tchange_iqr\tratio\twins\tverdict"]
+    rows = ["workload\tmetric\trev_median\trev_iqr\tchange_median\tchange_iqr\tratio\twins\t"
+            "verdict\tbound"]
     for workload, body in results.items():
         for name, s in body["summary"].items():
             ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
@@ -139,7 +145,8 @@ def table(results: dict) -> str:
                 f"{workload}\t{name}\t{s['rev_median']:.6g}\t{s['rev_iqr']:.3g}\t"
                 f"{s['change_median']:.6g}\t{s['change_iqr']:.3g}\t{ratio}\t"
                 f"{s['change_wins']}/{s['pairs']} (rev {s['rev_wins']})\t"
-                f"{'unresolved' if s['unresolved'] else 'resolved'}"
+                f"{'unresolved' if s['unresolved'] else 'resolved'}\t"
+                f"{'worse' if s['worse'] else 'within'}"
             )
     return "\n".join(rows)
 

@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
     elif args.suite == "retrieval":
         rec = recall_at_k(emb, emb, labels, labels, K=args.recall_k, exclude_self=True)
         records += [("K", args.recall_k), ("recall", rec)]
-    elif args.suite == "align":
+    else:  # align
         if args.teacher is None:
             raise ConfigError("suite 'align' requires --teacher")
         t_emb = teacher_embeddings(_load_teacher(args.teacher), dataset.inputs)
@@ -160,8 +160,6 @@ def cmd_eval(args) -> int:
             ("mean_dim_cosine", float(diag.per_dim_cosine.mean())),
             ("mean_dim_scale", float(diag.per_dim_scale.mean())),
         ]
-    else:  # unreachable through argparse; kept for direct calls
-        raise ConfigError("suite ∈ {knn, probe, retrieval, align}")
 
     io.write_report(args.out, records)
     width = max(len(k) for k, _ in records)

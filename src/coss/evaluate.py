@@ -39,7 +39,9 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     """Majority vote among the k nearest train embeddings by cosine.
 
     Neighbour ties break toward the lower train index, vote ties toward
-    the lower class id.  Negative train labels are rejected.
+    the lower label.  Any nonnegative int64 label votes, and the vote
+    holds only the ``(len(test_emb), k)`` neighbour labels, whatever the
+    labels' values or number; negative train labels are rejected.
     """
     check_k_eval(k_eval)
     X, labels = _labelled(train_emb, train_labels, "train")
@@ -49,17 +51,13 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     if Q.shape[1] != X.shape[1]:
         raise ValueError("shape mismatch")
     E, Q = unit_rows(X)[1], unit_rows(Q)[1]
-    k_eval = min(k_eval, E.shape[0])
-    n_classes = int(labels.max()) + 1
-    pred = np.empty(Q.shape[0], dtype=np.int64)
-    for start, nearest in cosine_top_k(Q, E, k_eval):
-        votes = labels[nearest]
-        # one bincount over (query, label) pairs; argmax takes the lowest class id on ties
-        m = len(votes)
-        pairs = np.arange(m)[:, None] * n_classes + votes
-        counts = np.bincount(pairs.ravel(), minlength=m * n_classes).reshape(m, n_classes)
-        pred[start : start + m] = counts.argmax(axis=1)
-    return pred
+    votes = np.sort(labels[cosine_top_k(Q, E, min(k_eval, E.shape[0]))], axis=1)
+    # each sorted row's first longest run of equal labels: the most frequent
+    # label, the lowest on a tie.  Nonnegative labels cannot overflow a diff.
+    at = np.arange(votes.shape[1])
+    run_start = np.where(np.diff(votes, axis=1, prepend=votes[:, :1]) != 0, at, 0)
+    run_end = np.argmax(at - np.maximum.accumulate(run_start, axis=1), axis=1)
+    return votes[np.arange(len(votes)), run_end]
 
 
 def knn_classify(train_emb, train_labels, test_emb, test_labels, k_eval: int = 1) -> float:
@@ -154,15 +152,11 @@ def recall_at_k(query_emb, gallery_emb, query_labels, gallery_labels, K: int = 1
         raise ValueError("shape mismatch")
     if exclude_self and Q.shape[0] != G.shape[0]:
         raise ValueError("exclude_self needs query and gallery of equal size")
+    if exclude_self and G.shape[0] < 2:
+        raise ValueError("exclude_self needs at least 2 gallery rows")
     K = min(K, G.shape[0] - (1 if exclude_self else 0))
-    if K < 1:
-        raise ValueError("K ≥ 1")
-    G, Q = unit_rows(G)[1], unit_rows(Q)[1]
-    hits = np.empty(Q.shape[0], dtype=bool)
-    for start, top in cosine_top_k(Q, G, K, exclude_self=exclude_self):
-        stop = start + len(top)
-        hits[start:stop] = (gl[top] == ql[start:stop, None]).any(axis=1)
-    return float(np.mean(hits))
+    top = cosine_top_k(unit_rows(Q)[1], unit_rows(G)[1], K, exclude_self=exclude_self)
+    return float(np.mean((gl[top] == ql[:, None]).any(axis=1)))
 
 
 @dataclass

@@ -60,8 +60,8 @@ def build_index(teacher_emb, pool: int) -> NeighborIndex:
     own row.  A tie is one in the *computed* cosine of the C-ordered,
     ``l2_normalize``d rows (see ``linalg.cosine_top_k``), not in exact
     cosine: parallel rows of different length can round apart.
-    Similarities are computed blockwise so the full N x N matrix is never
-    materialised, but the result is identical to the dense definition.
+    ``cosine_top_k`` gives the whole ``(n, pool)`` ranking and never builds
+    the N x N similarity matrix, yet equals the dense definition.
     """
     E = l2_normalize(teacher_emb)
     n = E.shape[0]
@@ -69,8 +69,7 @@ def build_index(teacher_emb, pool: int) -> NeighborIndex:
         raise ValueError("pool ≥ 1")
     if pool >= n:
         raise ValueError("pool too large")
-    blocks = cosine_top_k(E, E, pool, exclude_self=True)
-    return NeighborIndex(n=n, pool=pool, neighbors=np.concatenate([top for _, top in blocks]))
+    return NeighborIndex(n=n, pool=pool, neighbors=cosine_top_k(E, E, pool, exclude_self=True))
 
 
 def sample_neighbors(index: NeighborIndex, anchors, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -156,49 +156,20 @@ def _screen_margin(d: int) -> float:
     return 8 * (_gamma(d, UNIT_ROUNDOFF_32) + _gamma(d, UNIT_ROUNDOFF)) + 12 * d * TINY_32
 
 
-def _rank_block(Qb: np.ndarray, G: np.ndarray, G32: np.ndarray, k: int, self_offset: int | None,
-                approx: np.ndarray) -> np.ndarray:
-    """``top_k`` of the einsum similarities of ``Qb`` against ``G``, screened in float32.
-
-    ``G32`` is the float32 copy of ``G``.  With ``self_offset``, ``Qb[r]``
-    never ranks ``G[self_offset + r]``.
-    ``approx`` is a ``len(Qb) x len(G)`` float32 buffer it overwrites.
-    """
-    (m, d), n_g = Qb.shape, G.shape[0]
-    # BLAS only screens: it rounds in float32, and by the block shape and
-    # kernel tiling, so exact duplicates can get different values and it
-    # cannot judge ties.  Every column einsum ranks in the top k stays within
-    # _screen_margin of the row's bound, and einsum then judges them all.
-    np.matmul(Qb.astype(np.float32), G32.T, out=approx)
-    if self_offset is not None:
-        approx[np.arange(m), np.arange(self_offset, self_offset + m)] = -np.inf
-    rows, cols = _candidates(approx, k, _screen_margin(d))
-    if len(rows) * d > m * n_g:
-        # ties flood the candidate set: gathering their rows would take more
-        # memory than the dense block
-        sims = np.einsum("id,jd->ij", Qb, G)[rows, cols]
-    else:
-        # on C-ordered rows this rounds exactly as the dense einsum does
-        sims = np.einsum("id,id->i", Qb[rows], G[cols])
-    if self_offset is not None:
-        sims[rows + self_offset == cols] = -np.inf
-    return _first_k(rows, cols, sims, m, k)
-
-
-def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = False):
-    """Yield ``(start, top)`` per block of rows of ``Q``, ranking the rows of ``G``.
+def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    """The ``(len(Q), k)`` int64 ranking of the rows of ``G`` for every row of ``Q``.
 
     ``Q`` and ``G`` hold C-ordered rows of norm about 1 (``l2_normalize``
-    output); ``top[r]`` lists the ``k`` rows of ``G`` most cosine-similar to
-    ``Q[start + r]``, best first.  Similarity is the *computed* cosine,
+    output); row i lists the ``k`` rows of ``G`` most cosine-similar to
+    ``Q[i]``, best first.  Similarity is the *computed* cosine,
     ``np.einsum("id,jd->ij")`` of those rows, not the exact one:
     rows that tie in exact arithmetic but round apart are ordered by their
     computed values, and only computed ties go to the lower index.  Each
     similarity depends on its two rows alone, so no block size or query
     count can change a ranking.  With ``exclude_self``, row i of ``Q``
-    never ranks row i of ``G``.  Blocks have at most ``BLOCK_ROWS`` rows and
-    about ``BLOCK_SIMS`` similarities, so no ``len(Q) x len(G)`` array is
-    ever built.
+    never ranks row i of ``G``.  The rows of ``Q`` are ranked in blocks of
+    at most ``BLOCK_ROWS`` rows and about ``BLOCK_SIMS`` similarities, so
+    no ``len(Q) x len(G)`` array is ever built.
 
     A float32 BLAS matmul of float32 copies of the rows screens each block,
     4 bytes a similarity.  It keeps every column within
@@ -207,12 +178,34 @@ def cosine_top_k(Q: np.ndarray, G: np.ndarray, k: int, exclude_self: bool = Fals
     those candidates alone decide the order.
     """
     G32 = G.astype(np.float32)
-    n_q, n_g = Q.shape[0], G.shape[0]
+    (n_q, d), n_g = Q.shape, G.shape[0]
+    margin = _screen_margin(d)
     step = max(1, min(BLOCK_ROWS, BLOCK_SIMS // n_g))
+    top = np.empty((n_q, k), dtype=np.int64)
     # every block reuses this: a fresh one would cost a page fault per page
     # (a third of the ranking time at 5000 x 5000)
-    approx = np.empty((min(step, n_q), n_g), dtype=np.float32)
+    buffer = np.empty((min(step, n_q), n_g), dtype=np.float32)
     for start in range(0, n_q, step):
-        m = min(step, n_q - start)
-        self_offset = start if exclude_self else None
-        yield start, _rank_block(Q[start : start + m], G, G32, k, self_offset, approx[:m])
+        Qb = Q[start : start + step]
+        m = len(Qb)
+        approx = buffer[:m]
+        # BLAS only screens: it rounds in float32, and by the block shape and
+        # kernel tiling, so exact duplicates can get different values and it
+        # cannot judge ties.  Every column einsum ranks in the top k stays
+        # within _screen_margin of the row's bound, and einsum then judges
+        # them all.
+        np.matmul(Qb.astype(np.float32), G32.T, out=approx)
+        if exclude_self:
+            approx[np.arange(m), np.arange(start, start + m)] = -np.inf
+        rows, cols = _candidates(approx, k, margin)
+        if len(rows) * d > m * n_g:
+            # ties flood the candidate set: gathering their rows would take
+            # more memory than the dense block
+            sims = np.einsum("id,jd->ij", Qb, G)[rows, cols]
+        else:
+            # on C-ordered rows this rounds exactly as the dense einsum does
+            sims = np.einsum("id,id->i", Qb[rows], G[cols])
+        if exclude_self:
+            sims[rows + start == cols] = -np.inf
+        top[start : start + m] = _first_k(rows, cols, sims, m, k)
+    return top

@@ -103,16 +103,16 @@ def loss_bn(X_s, X_t, p: BnParams):
     plus gradients for the student input and both affine parameters.
     """
     S, T = _check_pair(X_s, X_t)
+    if S.shape[0] < 2:
+        raise ValueError("batch too small for BN")
+    if p.gamma.shape[0] != S.shape[1]:
+        raise ValueError("BN parameter length does not match feature count")
     return _bn_terms(S, T, p)
 
 
 def _bn_terms(S: np.ndarray, T: np.ndarray, p: BnParams):
-    """``loss_bn`` on validated matrices of one shape."""
-    b, d = S.shape
-    if b < 2:
-        raise ValueError("batch too small for BN")
-    if p.gamma.shape[0] != d:
-        raise ValueError("BN parameter length does not match feature count")
+    """``loss_bn`` on validated matrices of one shape, at least 2 rows, and ``p`` as wide."""
+    b = S.shape[0]
     mu = S.mean(axis=0)
     std = np.sqrt(S.var(axis=0))
     sigma = np.maximum(std, p.eps)

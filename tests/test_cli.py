@@ -15,10 +15,12 @@ from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchm
 from coss.cli import main
 from coss.config import render_config
 from coss.data import Dataset
+from coss.evaluate import holdout_split, knn_classify
 from coss.io import (
     encode_dataset,
     parse_report,
     read_dataset,
+    read_model,
     read_report,
     write_dataset,
     write_model,
@@ -300,6 +302,28 @@ class TestEval:
         assert parsed["suite"] == "knn"
         assert parsed["accuracy"] == 1.0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_knn_suite_votes_any_nonnegative_label(self, workspace, capsys):
+        dataset = read_dataset(workspace["data"])
+        labels = np.where(dataset.labels == 1, 2**62, 0)
+        data = workspace["root"] / "huge_labels.cssd"
+        write_dataset(data, Dataset(dataset.inputs, labels))
+        report = workspace["root"] / "knn.tsv"
+        code = main(["eval", "--student", str(workspace["teacher"]), "--data", str(data),
+                     "--suite", "knn", "--k-eval", "3", "--split-seed", "4", "--out", str(report)])
+        assert code == 0, capsys.readouterr().err
+        emb, _ = forward(read_model(workspace["teacher"]), dataset.inputs)
+        train, test = holdout_split(dataset.n, 4)
+        expected = knn_classify(emb[train], labels[train], emb[test], labels[test], 3)
+        assert read_report(report)["accuracy"] == expected
+
+    def test_retrieval_on_one_sample_names_the_gallery_size(self, workspace, capsys):
+        data = workspace["root"] / "one.cssd"
+        write_dataset(data, Dataset(read_dataset(workspace["data"]).inputs[:1], [0]))
+        code = main(["eval", "--student", str(workspace["teacher"]), "--data", str(data),
+                     "--suite", "retrieval", "--out", str(workspace["root"] / "r.tsv")])
+        assert code == 3
+        assert capsys.readouterr().err == "data error: exclude_self needs at least 2 gallery rows\n"
 
     def test_probe_and_retrieval_suites_run(self, workspace):
         student = self.trained_student(workspace)

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from coss.evaluate import (
     recall_at_k,
 )
 from coss.knn import build_index
+from coss.linalg import cosine_top_k, l2_normalize
 from coss.losses import loss_co, loss_ss
 from coss.models import forward
 
@@ -173,6 +175,55 @@ class TestKnnClassify:
         for block_sims in (1, 40, 130):
             monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", block_sims)
             np.testing.assert_array_equal(knn_predict(train, labels, query, k_eval=5), dense)
+
+
+def counter_vote(train_emb, train_labels, test_emb, k):
+    """The vote of every test row by ``Counter`` over its dense einsum ranking."""
+    sims = np.einsum("id,jd->ij", l2_normalize(test_emb), l2_normalize(train_emb))
+    out = []
+    for order in np.argsort(-sims, axis=1, kind="stable")[:, :k]:
+        counts = Counter(int(train_labels[j]) for j in order)
+        best = max(counts.values())
+        out.append(min(label for label, c in counts.items() if c == best))
+    return out
+
+
+class TestKnnVoteLabels:
+    """The vote sizes nothing by a label's value or by the number of classes."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_nonnegative_label_matches_a_counter_vote(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_train = data.draw(st.integers(1, 40))
+        # rows from a few directions: neighbour ties, and labels from a few
+        # values: vote ties
+        query, train, _, _ = tied_embeddings(int(rng.integers(2**32)), 12, n_train)
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, 3, 2**62, 2**63 - 1]),
+                                             min_size=n_train, max_size=n_train)))
+        k = data.draw(st.integers(1, n_train))
+        expected = counter_vote(train, labels, query, k)
+        assert knn_predict(train, labels, query, k).tolist() == expected
+
+    def test_memory_does_not_grow_with_the_classes(self):
+        # one class per train row: a count per (query, class) would be a
+        # dense n_q x n_train matrix, the one the ranking's blocks avoid
+        rng = np.random.default_rng(31)
+        train, test = rng.normal(size=(3000, 8)), rng.normal(size=(3000, 8))
+        labels = 7 * np.arange(3000)
+        E, Q = l2_normalize(train), l2_normalize(test)
+        tracemalloc.start()
+        try:
+            cosine_top_k(Q, E, 5)
+            ranking_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            knn_predict(train, labels, test, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the vote's own arrays hold a few n_q x k_eval int64s, next to the
+        # checked and unit-row copies of both inputs
+        assert peak <= ranking_peak + 4 * (train.nbytes + test.nbytes), (peak, ranking_peak)
 
 
 class TestHoldoutSplit:
@@ -356,6 +407,10 @@ class TestRecallAtK:
                 np.ones((2, 2)), np.ones((3, 2)), [0, 0], [0, 0, 0],
                 K=1, exclude_self=True,
             )
+
+    def test_exclude_self_with_one_gallery_row_says_so(self):
+        with pytest.raises(ValueError, match="^exclude_self needs at least 2 gallery rows$"):
+            recall_at_k([[1.0]], [[1.0]], [0], [0], K=1, exclude_self=True)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ties_across_blocks_match_brute_force_oracle(self, seed, small_blocks):

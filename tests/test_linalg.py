@@ -164,36 +164,50 @@ class TestTopKBound:
                 )
 
 
-def ranked(Q, G, k, **kwargs):
-    return np.concatenate([top for _, top in cosine_top_k(Q, G, k, **kwargs)])
-
-
 class TestCosineTopK:
     def test_block_rows_never_change_the_ranking(self, monkeypatch):
         rng = np.random.default_rng(7)
         base = l2_normalize(rng.integers(-4, 5, size=(6, 3)).astype(float))
         Q = base[rng.integers(0, 6, size=40)]
         G = base[rng.integers(0, 6, size=25)]
-        dense = ranked(Q, G, 5)  # one block
+        dense = cosine_top_k(Q, G, 5)  # one block
         for rows in (1, 2, 3, 7, 39):
             monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", rows)
-            np.testing.assert_array_equal(ranked(Q, G, 5), dense)
+            np.testing.assert_array_equal(cosine_top_k(Q, G, 5), dense)
 
     def test_exclude_self_bars_the_diagonal(self, monkeypatch):
         monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 2)
         E = l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(ranked(E, E, 2, exclude_self=True), [[1, 2], [0, 2], [0, 1]])
+        np.testing.assert_array_equal(
+            cosine_top_k(E, E, 2, exclude_self=True), [[1, 2], [0, 2], [0, 1]]
+        )
+
+    def test_returns_one_int64_row_per_query(self):
+        rng = np.random.default_rng(9)
+        Q, G = l2_normalize(rng.normal(size=(13, 4))), l2_normalize(rng.normal(size=(7, 4)))
+        top = cosine_top_k(Q, G, 3)
+        assert isinstance(top, np.ndarray)
+        assert (top.shape, top.dtype) == ((13, 3), np.int64)
 
     def test_default_blocks_hold_about_block_sims(self, monkeypatch):
         Q = l2_normalize(np.random.default_rng(8).normal(size=(25, 2)))
+        first_k = coss.linalg._first_k
 
-        def starts():
-            return [start for start, _ in cosine_top_k(Q, Q[:10], 1)]
+        def block_rows():
+            rows = []
+
+            def recording(r, c, v, m, k):
+                rows.append(m)
+                return first_k(r, c, v, m, k)
+
+            monkeypatch.setattr(coss.linalg, "_first_k", recording)
+            cosine_top_k(Q, Q[:10], 1)
+            return rows
 
         monkeypatch.setattr(coss.linalg, "BLOCK_SIMS", 30)
-        assert starts() == list(range(0, 25, 3))  # 3 rows of 10
+        assert block_rows() == [3] * 8 + [1]  # 3 rows of 10
         monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 2)
-        assert starts() == list(range(0, 25, 2))
+        assert block_rows() == [2] * 12 + [1]
 
 
 def dense_ranking(Q, G, k, exclude_self=False):
@@ -221,12 +235,12 @@ class TestBlasScreen:
             expected = dense_ranking(E, G, k, exclude_self)
             for rows in (1, 7, 32, 60):
                 monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", rows)
-                np.testing.assert_array_equal(ranked(E, G, k, exclude_self=exclude_self), expected)
+                np.testing.assert_array_equal(cosine_top_k(E, G, k, exclude_self=exclude_self), expected)
             # a full ranking puts the barred self pair last, as the dense one does
             n_g = len(G)
             monkeypatch.setattr(coss.linalg, "BLOCK_ROWS", 7)
             np.testing.assert_array_equal(
-                ranked(E, G, n_g, exclude_self=exclude_self),
+                cosine_top_k(E, G, n_g, exclude_self=exclude_self),
                 dense_ranking(E, G, n_g, exclude_self),
             )
 
@@ -247,7 +261,7 @@ class TestBlasScreen:
                 del sims
             dense_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            got = ranked(E, E, 16, exclude_self=True)  # 256-row blocks
+            got = cosine_top_k(E, E, 16, exclude_self=True)  # 256-row blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,9 +270,10 @@ class TestBlasScreen:
         assert peak <= 1.5 * dense_peak, (peak, dense_peak)
 
     def test_screen_keeps_few_candidates_per_row(self):
-        # the BLAS screen of build_index's blocks, as _rank_block makes it: the
-        # bound from 128 group maxima keeps about 17 per row at k = 16, one
-        # from 32 maxima about 21.6
+        # a float64 BLAS screen of build_index's rows in 256-row blocks (the
+        # float32 one cosine_top_k runs is TestFloat32Screen's): the bound from
+        # 128 group maxima keeps about 17 per row at k = 16, one from 32 maxima
+        # about 21.6
         n, k, d, block = 4000, 16, 16, 256
         E = l2_normalize(np.random.default_rng(16).normal(size=(n, d)))
         gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
@@ -372,7 +387,7 @@ class TestFloat32Screen:
             Q = G[np.concatenate([[0], rng.integers(0, n, size=n_q)])]
             Q[1::2] += rng.integers(-1, 2, size=Q[1::2].shape) * np.spacing(Q[1::2])
         np.testing.assert_array_equal(
-            ranked(Q, G, k, exclude_self=exclude_self), dense_ranking(Q, G, k, exclude_self)
+            cosine_top_k(Q, G, k, exclude_self=exclude_self), dense_ranking(Q, G, k, exclude_self)
         )
 
     def test_screen_keeps_few_candidates_per_row(self):

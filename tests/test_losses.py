@@ -232,6 +232,10 @@ class TestLossBn:
         with pytest.raises(ValueError, match="batch too small for BN"):
             loss_bn([[1.0, 2.0]], [[1.0, 2.0]], BnParams([1.0, 1.0], [0.0, 0.0]))
 
+    def test_parameter_length_must_match_the_width(self):
+        with pytest.raises(ValueError, match="BN parameter length does not match feature count"):
+            loss_bn(np.eye(3), np.eye(3), BnParams([1.0, 1.0], [0.0, 0.0]))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)

@@ -53,6 +53,14 @@ def test_named_scripts_exist_and_every_script_is_named():
     assert present - named == set()
 
 
+def test_layout_names_every_module():
+    block = README.split("## Layout", 1)[1].split("```", 2)[1]
+    package = block.split("src/coss/\n", 1)[1].split("\nscripts/", 1)[0]
+    listed = re.findall(r"^  (\w+\.py) ", package, flags=re.M)
+    present = [p.name for p in (ROOT / "src" / "coss").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(present)
+
+
 def test_every_documented_command_parses():
     blocks = README.split("```")[1::2]
     lines = [ln for b in blocks for ln in b.replace("\\\n", " ").splitlines() if ln.startswith("coss ")]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coss
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,16 +94,30 @@ def load_script(name: str):
 
 def test_bench_pair_summary_on_fixed_numbers():
     summarize = load_script("bench_pair").summarize
-    s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 2.0, 3.0, 6.0], "lower")
+    s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 2.0, 3.0, 6.0], "lower", 0.1)
     assert (s["rev_median"], s["rev_iqr"], s["change_median"], s["change_iqr"]) == (3.0, 2.0, 2.0, 1.0)
     assert s["ratio"] == 2.0 / 3.0
     # the tied pair (2.0, 2.0) is a win for neither side
     assert (s["change_wins"], s["rev_wins"], s["pairs"]) == (3, 1, 5)
     assert s["unresolved"]  # REV's IQR 2.0 exceeds the gap 1.0
-    s = summarize([10.0, 10.0, 10.0], [11.0, 12.0, 9.0], "higher")
+    s = summarize([10.0, 10.0, 10.0], [11.0, 12.0, 9.0], "higher", 0.1)
     assert (s["rev_median"], s["rev_iqr"], s["change_median"]) == (10.0, 0.0, 11.0)
     assert (s["change_wins"], s["rev_wins"]) == (2, 1)
     assert not s["unresolved"]
+
+
+@pytest.mark.parametrize("better,change,worse", [
+    # REV's median is 4.0 and the bound a quarter of it: 1.0 either way
+    ("lower", [4.0, 4.9, 5.0], False),
+    ("lower", [4.0, 5.1, 5.1], True),
+    ("lower", [1.0, 1.0, 1.0], False),
+    ("higher", [3.0, 3.1, 4.0], False),
+    ("higher", [2.9, 2.9, 4.0], True),
+    ("higher", [9.0, 9.0, 9.0], False),
+])
+def test_bench_pair_flags_a_median_worse_than_its_bound(better, change, worse):
+    summary = load_script("bench_pair").summarize([3.0, 4.0, 5.0], change, better, 0.25)
+    assert summary["worse"] is worse
 
 
 def test_bench_pair_rejects_a_bad_revision_before_any_run(monkeypatch, capsys):
