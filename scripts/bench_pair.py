@@ -11,11 +11,15 @@ both on the same seed, with the side that runs first swapped every pair.
 
 Per end-to-end metric it prints both medians, both interquartile ranges,
 the ratio change / REV and how many pairs each side won (ties count for
-neither).  A metric is "unresolved" when REV's IQR exceeds the gap between
-the medians, and "worse" when the change's median is worse than REV's, in
-the metric's ``better`` direction, by more than its ``bound`` (a fraction
-of REV's median).  ``--record TAG`` also writes every run and that summary
-to ``BENCH_<TAG>.json`` at the repository root.
+neither).  A metric is "unchanged" when every pair tied exactly,
+"unresolved" when REV's IQR exceeds the gap between the medians, and
+"worse" when the change's median is worse than REV's, in the metric's
+``better`` direction, by more than its ``bound`` (a fraction of REV's
+median).  Each run's round count is read from the ``e2e`` file perfbench
+writes, and the ``rounds`` column gives each side's range, REV / change; a
+``peak_rss_mb`` row is marked when the two sides of some pair ran
+different round counts.  ``--record TAG`` also writes every run and
+that summary to ``BENCH_<TAG>.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("rev", "change")
 PAIRS = 10  # per workload: a gain needs 9 wins of 10
+# perfbench's peak_rss_mb includes the harness's own high-water RSS, which
+# grows with the rounds a run holds, so its sides compare only at equal counts
+ROUND_SENSITIVE = ("peak_rss_mb",)
 
 
 class PairError(RuntimeError):
@@ -52,13 +59,15 @@ def summarize(rev: list[float], change: list[float], better: str, bound: float) 
     """Medians, IQRs, ratio, wins and verdicts of one metric over pairs ``(rev[i], change[i])``.
 
     ``better`` is ``"lower"`` or ``"higher"``.  A tied pair is a win for
-    neither side.  The metric is unresolved when REV's IQR is larger than
-    the gap between the two medians, and worse when the change's median is
-    worse than REV's by more than ``bound`` times REV's median.
+    neither side.  The metric is unchanged when every pair ties exactly;
+    otherwise it is unresolved when REV's IQR is larger than the gap between
+    the two medians.  It is worse when the change's median is worse than
+    REV's by more than ``bound`` times REV's median.
     """
     sign = -1.0 if better == "lower" else 1.0
     rev_median, change_median = statistics.median(rev), statistics.median(change)
     rev_iqr = iqr(rev)
+    unchanged = rev == change
     return {
         "rev_median": rev_median,
         "rev_iqr": rev_iqr,
@@ -68,7 +77,8 @@ def summarize(rev: list[float], change: list[float], better: str, bound: float) 
         "change_wins": sum(sign * (c - r) > 0 for r, c in zip(rev, change)),
         "rev_wins": sum(sign * (r - c) > 0 for r, c in zip(rev, change)),
         "pairs": len(rev),
-        "unresolved": rev_iqr > abs(change_median - rev_median),
+        "unchanged": unchanged,
+        "unresolved": not unchanged and rev_iqr > abs(change_median - rev_median),
         "worse": sign * (rev_median - change_median) > bound * abs(rev_median),
     }
 
@@ -111,8 +121,23 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     return json.loads(lines[-1])
 
 
+def read_rounds(tree: Path, workload: str, seed: int) -> int:
+    """The rounds a run in ``tree`` held: one ``pipeline_s`` sample per round in its e2e file."""
+    path = tree / "perfbench" / "out" / f"e2e-{workload}-seed{seed}.json"
+    try:
+        return len(json.loads(path.read_text(encoding="utf-8"))["samples"]["pipeline_s"])
+    except (OSError, ValueError, KeyError) as exc:
+        raise PairError(f"{workload} seed {seed} in {tree.name}: no round count in {path.name}") from exc
+
+
+def rounds_by_side(runs: list[dict]) -> dict:
+    """Each side's round counts, ``runs`` being in seed order, and how many pairs' sides differ."""
+    counts = {side: [r["rounds"] for r in runs if r["side"] == side] for side in SIDES}
+    return counts | {"differing_pairs": sum(a != b for a, b in zip(*counts.values()))}
+
+
 def run_pairs(trees: dict[str, Path], bench: dict) -> dict:
-    """Alternate ``PAIRS`` pairs per workload; every run, and a summary per metric."""
+    """Alternate ``PAIRS`` pairs per workload; every run, its rounds, and a summary per metric."""
     results = {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
@@ -120,33 +145,39 @@ def run_pairs(trees: dict[str, Path], bench: dict) -> dict:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 out = run_once(trees[side], bench["command"], workload, i + 1, bench["run_seconds"])
+                rounds = read_rounds(trees[side], workload, i + 1)
                 runs.append({"side": side, "seed": i + 1, "correct": out["correct"],
-                             "failed": out["failed"],
+                             "failed": out["failed"], "rounds": rounds,
                              "metrics": {k: v["value"] for k, v in out["metrics"].items()}})
                 print(f"{workload} seed {i + 1} {side}: correct={out['correct']} "
-                      f"failed={out['failed']}", file=sys.stderr)
+                      f"failed={out['failed']} rounds={rounds}", file=sys.stderr)
         summary = {}
         for metric in bench["end_to_end"]:
             name = metric["name"]
             values = {side: [r["metrics"][name] for r in runs if r["side"] == side] for side in SIDES}
             summary[name] = summarize(values["rev"], values["change"], metric["better"],
                                       metric["bound"])
-        results[workload] = {"summary": summary, "runs": runs}
+        results[workload] = {"summary": summary, "rounds": rounds_by_side(runs), "runs": runs}
     return results
 
 
 def table(results: dict) -> str:
     rows = ["workload\tmetric\trev_median\trev_iqr\tchange_median\tchange_iqr\tratio\twins\t"
-            "verdict\tbound"]
+            "verdict\tbound\trounds"]
     for workload, body in results.items():
+        rounds = body["rounds"]
+        span = " / ".join(f"{min(rounds[side])}-{max(rounds[side])}" for side in SIDES)
         for name, s in body["summary"].items():
             ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
+            verdict = "unchanged" if s["unchanged"] else "unresolved" if s["unresolved"] else "resolved"
+            mark = ""
+            if name in ROUND_SENSITIVE and rounds["differing_pairs"]:
+                mark = f" (differ in {rounds['differing_pairs']}/{s['pairs']} pairs)"
             rows.append(
                 f"{workload}\t{name}\t{s['rev_median']:.6g}\t{s['rev_iqr']:.3g}\t"
                 f"{s['change_median']:.6g}\t{s['change_iqr']:.3g}\t{ratio}\t"
-                f"{s['change_wins']}/{s['pairs']} (rev {s['rev_wins']})\t"
-                f"{'unresolved' if s['unresolved'] else 'resolved'}\t"
-                f"{'worse' if s['worse'] else 'within'}"
+                f"{s['change_wins']}/{s['pairs']} (rev {s['rev_wins']})\t{verdict}\t"
+                f"{'worse' if s['worse'] else 'within'}\t{span}{mark}"
             )
     return "\n".join(rows)
 

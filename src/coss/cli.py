@@ -110,8 +110,8 @@ def cmd_distill(args) -> int:
         ("steps_per_epoch", log.steps_per_epoch),
         ("total_steps", len(log.steps)),
     ]
-    for rec in log.steps:
-        prefix = f"step.{rec.step:06d}"
+    for step, rec in enumerate(log.steps):
+        prefix = f"step.{step:06d}"
         records.append((f"{prefix}.l_co", rec.l_co))
         records.append((f"{prefix}.l_ss", rec.l_ss))
         records.append((f"{prefix}.l_total", rec.l_total))

@@ -1,10 +1,10 @@
 """Run configuration: defaults, validation, INI round-trip, stable hashing.
 
 ``DistillConfig`` declares every setting once: the INI keys and their
-kinds, the render order and the hash all come from its fields.  Every key
-has a default; only data paths (which live on the command line, not in the
-file) are mandatory.  Validation failures name the violated invariant so
-the CLI can surface it verbatim.
+kinds and the render order come from its fields, and the hash is that of
+the rendered INI.  Every key has a default; only data paths (which live on
+the command line, not in the file) are mandatory.  Validation failures
+name the violated invariant so the CLI can surface it verbatim.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io as _stdio
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .models import ACTIVATIONS, MlpSpec
@@ -25,7 +24,6 @@ LOSS_VARIANTS = ("coss", "co_only", "ss_only", "bn")
 @dataclass(frozen=True)
 class DistillConfig:
     lam: float = 1.0            # weight on the space-similarity term
-    beta: float = 1.0           # overall loss scale
     k: int = 4                  # neighbours appended per anchor
     pool: int = 16              # neighbour candidates stored per sample
     batch_size: int = 64
@@ -69,8 +67,6 @@ def validate_config(cfg: DistillConfig) -> None:
             raise ConfigError(f"{_KEYS[f.name][1]} must be finite")
     if cfg.lam < 0:
         raise ConfigError("lambda ≥ 0")
-    if cfg.beta <= 0:
-        raise ConfigError("beta > 0")
     if cfg.k < 0:
         raise ConfigError("k ≥ 0")
     if cfg.pool < 1:
@@ -159,6 +155,5 @@ def render_config(cfg: DistillConfig) -> str:
 
 
 def config_hash(cfg: DistillConfig) -> str:
-    """SHA-256 over a canonical JSON form; stable under key reordering."""
-    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 of ``render_config(cfg)``, the bytes ``coss distill`` saves as config.ini."""
+    return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()

@@ -27,7 +27,8 @@ from .models import MlpModel, MlpSpec, SgdState, backward, forward, init_model, 
 
 @dataclass(frozen=True)
 class StepRecord:
-    step: int          # global step, 0-based
+    """One step's losses; its global step is its position in ``RunLog.steps``."""
+
     l_co: float
     l_ss: float
     l_total: float
@@ -110,7 +111,6 @@ def distill(
     opt = SgdState(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
     log = RunLog(steps_per_epoch=-(-n // config.batch_size))
-    global_step = 0
 
     for epoch in range(config.epochs):
         for anchors in epoch_batches(n, config.batch_size, rng):
@@ -122,17 +122,16 @@ def distill(
             A_s, cache = forward(chain, X_aug)
             # the dump passed as_matrix on entry; a teacher's output may overflow
             if not (np.isfinite(A_s).all() and (dump is not None or np.isfinite(A_t).all())):
-                raise NumericalError(f"non-finite embeddings at step {global_step}")
+                raise NumericalError(f"non-finite embeddings at step {len(log.steps)}")
 
             l_co, l_ss, l_total, G, bn_grads = objective(A_s, A_t, config, bn)
 
             if not np.isfinite(l_total):
-                raise NumericalError(f"non-finite loss at step {global_step}")
+                raise NumericalError(f"non-finite loss at step {len(log.steps)}")
 
             sgd_step(params, backward(chain, cache, G) + bn_grads, opt)
 
-            log.steps.append(StepRecord(step=global_step, l_co=l_co, l_ss=l_ss, l_total=l_total))
-            global_step += 1
+            log.steps.append(StepRecord(l_co=l_co, l_ss=l_ss, l_total=l_total))
         if eval_hook is not None:
             log.epoch_metrics.append(eval_hook(student.copy(), epoch))
 

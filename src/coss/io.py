@@ -198,7 +198,7 @@ def decode_index(blob: bytes) -> NeighborIndex:
     n, pool = r.unpack("<QQ")
     neighbors = r.array("<u4", n * pool, np.int64)
     r.done()
-    return _build(lambda: NeighborIndex(n=n, pool=pool, neighbors=neighbors.reshape(n, pool)))
+    return _build(lambda: NeighborIndex(neighbors.reshape(n, pool)))
 
 
 def write_index(path, index: NeighborIndex) -> None:

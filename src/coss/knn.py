@@ -10,7 +10,7 @@ step kernel and trusts what ``distill`` checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +21,26 @@ from .linalg import cosine_top_k, l2_normalize
 class NeighborIndex:
     """Per-sample candidate neighbours ranked by descending similarity."""
 
-    n: int
-    pool: int
-    neighbors: np.ndarray = field(repr=False)  # (n, pool) int64
+    neighbors: np.ndarray  # (n, pool) int64
+
+    @property
+    def n(self) -> int:
+        return self.neighbors.shape[0]
+
+    @property
+    def pool(self) -> int:
+        return self.neighbors.shape[1]
 
     def __post_init__(self):
         self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
-        if self.neighbors.shape != (self.n, self.pool):
-            raise ValueError("neighbors shape does not match (n, pool)")
+        if self.neighbors.ndim != 2:
+            raise ValueError("neighbors must be a 2-D (n, pool) array")
         if self.pool < 1:
             raise ValueError("pool ≥ 1")
         if self.pool > self.n - 1:
             raise ValueError("pool too large")
-        if self.neighbors.size:
-            if self.neighbors.min() < 0 or self.neighbors.max() >= self.n:
-                raise ValueError("neighbor index out of range")
+        if self.neighbors.min() < 0 or self.neighbors.max() >= self.n:
+            raise ValueError("neighbor index out of range")
         rows = np.arange(self.n)[:, None]
         if np.any(self.neighbors == rows):
             raise ValueError("row contains its own sample index")
@@ -46,11 +51,7 @@ class NeighborIndex:
     def __eq__(self, other):
         if not isinstance(other, NeighborIndex):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.pool == other.pool
-            and np.array_equal(self.neighbors, other.neighbors)
-        )
+        return np.array_equal(self.neighbors, other.neighbors)
 
 
 def build_index(teacher_emb, pool: int) -> NeighborIndex:
@@ -69,7 +70,7 @@ def build_index(teacher_emb, pool: int) -> NeighborIndex:
         raise ValueError("pool ≥ 1")
     if pool >= n:
         raise ValueError("pool too large")
-    return NeighborIndex(n=n, pool=pool, neighbors=cosine_top_k(E, E, pool, exclude_self=True))
+    return NeighborIndex(cosine_top_k(E, E, pool, exclude_self=True))
 
 
 def sample_neighbors(index: NeighborIndex, anchors, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ transposed views of the embedding matrices.  The column terms come from
 one ``row_cosines`` pass, which gives both the logged value and the
 gradient.  The combined loss is
 
-    total = beta * (row_term + lam * column_term)
+    total = row_term + lam * column_term
 
 Gradients are taken with respect to the student matrix only; the teacher
 branch never receives one.  A batch-normalisation variant that matches
@@ -137,8 +137,8 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     """Both cosine terms, the configured loss and its gradient for one batch.
 
     ``A_s`` and ``A_t`` are finite, C-ordered float64 matrices of one
-    shape; nothing here checks that.  ``cfg`` supplies ``loss_variant``,
-    ``lam`` and ``beta``; ``bn`` is the affine map of the ``bn`` variant.
+    shape; nothing here checks that.  ``cfg`` supplies ``loss_variant`` and
+    ``lam``; ``bn`` is the affine map of the ``bn`` variant.
     Returns ``(l_co, l_ss, l_total, G, bn_grads)``: both terms (always
     logged), the configured loss, its gradient with respect to ``A_s`` and,
     for ``bn``, the gradients of ``bn.gamma`` and ``bn.beta_shift``.  Every
@@ -158,11 +158,6 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
         # lam == 0 goes through the same arithmetic as co_only, so the two
         # stay bit-identical under a shared seed
         if cfg.loss_variant == "coss" and cfg.lam != 0.0:
-            S = _space_grad(col, A_s.shape[1])
-            G += S if cfg.lam == 1.0 else cfg.lam * S
+            G += cfg.lam * _space_grad(col, A_s.shape[1])
             l_total = l_co + cfg.lam * l_ss
-    # a factor of 1.0 is exact, so skipping it changes no bit
-    if cfg.beta != 1.0:
-        for g in [G] + bn_grads:
-            g *= cfg.beta
-    return l_co, l_ss, cfg.beta * l_total, G, bn_grads
+    return l_co, l_ss, l_total, G, bn_grads

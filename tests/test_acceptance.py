@@ -75,7 +75,7 @@ def test_1_gradient_oracle_over_random_students():
         batch = int(rng.integers(3, 9))
         X = rng.normal(size=(batch, dims[0]))
         T = rng.normal(size=(batch, dims[-1]))
-        cfg = DistillConfig(lam=float(rng.uniform(0.0, 2.0)), beta=float(rng.uniform(0.5, 2.0)))
+        cfg = DistillConfig(lam=float(rng.uniform(0.0, 2.0)))
 
         S, cache = forward(student, X)
         analytic = backward(student, cache, objective(S, T, cfg)[3])

@@ -218,7 +218,7 @@ class TestDistill:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "key", ["lambda", "beta", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps"]
+        "key", ["lambda", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps"]
     )
     def test_non_finite_config_value_is_a_usage_error(self, workspace, capsys, key, value):
         workspace["config"].write_text(f"[distill]\n{key} = {value}\n", encoding="utf-8")
@@ -226,6 +226,27 @@ class TestDistill:
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    # beta, the loss scale of older configs, is no setting: such a config exits 2
+    @pytest.mark.parametrize("key", ["beta", "temperature"])
+    def test_unknown_config_key_is_a_usage_error(self, workspace, capsys, key):
+        workspace["config"].write_text(f"[distill]\n{key} = 1.0\n", encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert f"unknown key [distill] {key}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_hash_is_the_sha256_of_config_ini(self, workspace, capsys):
+        capsys.readouterr()
+        code, out_dir = run_distill(workspace)
+        assert code == 0
+        digest = hashlib.sha256((out_dir / "config.ini").read_bytes()).hexdigest()
+        # read raw: parse_report would take an all-digit run_id for an int
+        text = (out_dir / "metrics.tsv").read_text(encoding="utf-8")
+        records = dict(line.split("\t", 1) for line in text.splitlines())
+        assert records["config_hash"] == digest
+        assert records["run_id"] == digest[:12]
+        assert f"run_id\t{digest[:12]}\n" in capsys.readouterr().out
 
     def test_bn_one_row_last_batch_is_a_usage_error(self, workspace, capsys):
         # 20 samples in batches of 19 leave a last batch of one anchor
@@ -499,11 +520,14 @@ class TestAblate:
     # SHA-256 of the report file and of the printed table.  First recorded
     # before the component and lambda drivers were merged into one ablation
     # loop; re-recorded when the logged l_ss moved onto the column pass the
-    # gradient uses, which moved only the final_l_ss and final_l_total columns.
+    # gradient uses, which moved only the final_l_ss and final_l_total columns,
+    # and when config_hash became the SHA-256 of the rendered INI, which moved
+    # only the config_hash column.  Recorded under OpenBLAS's SkylakeX kernel:
+    # another kernel rounds training's matmuls differently (README "Determinism").
     PINNED_REPORTS = {
-        "components": ("85714d1ab103e9b1f29d8bc517ac46373a15bf0665acd80c59e6dbe3af231999",
+        "components": ("d2902c168c9f583bc0e7f28a9e78c3ca88c28d559dc72720f9b1a475424ebf65",
                        "59e7f36c56688c8f781126d9ad479f7ba9005159f78c452089ee7829eb416956"),
-        "lambda": ("db2eadd2b0527f4134adbe1bce429099fc09d4f515c200a0683e6b7f3b050b5e",
+        "lambda": ("e7d8a58766fccdba21250125bc06f21180c89596f49a5faa1b68ac3cd76100b7",
                    "82c8722b94f374a9414ba8786a91bfce02b0b6248bd7be712dfabbbea4bf5996"),
     }
 

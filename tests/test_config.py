@@ -21,7 +21,6 @@ class TestDefaults:
     def test_documented_defaults(self):
         cfg = DistillConfig()
         assert cfg.lam == 1.0
-        assert cfg.beta == 1.0
         assert cfg.k == 4
         assert cfg.pool == 16
         assert cfg.batch_size == 64
@@ -45,7 +44,7 @@ class TestDefaults:
 
 INVALID_CASES = [
     ({"lam": -0.1}, "lambda ≥ 0"),
-    ({"beta": 0.0}, "beta > 0"),
+    ({"student_hidden": (8, 0)}, "hidden"),
     ({"k": -1}, "k ≥ 0"),
     ({"pool": 0}, "pool ≥ 1"),
     ({"k": 9, "pool": 8}, "k ≤ pool"),
@@ -71,7 +70,7 @@ def test_validation_names_the_violated_invariant(overrides, message):
         validate_config(DistillConfig(**overrides))
 
 
-FLOAT_KEYS = ("lambda", "beta", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps")
+FLOAT_KEYS = ("lambda", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -159,7 +158,6 @@ def valid_configs(draw):
     variant = draw(st.sampled_from(LOSS_VARIANTS))
     return DistillConfig(
         lam=draw(_floats(min_value=0.0)),
-        beta=draw(_floats(min_value=0.0, exclude_min=True)),
         k=k,
         pool=pool,
         batch_size=draw(st.integers(2 if variant == "bn" and k == 0 else 1, 10**6)),

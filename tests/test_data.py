@@ -9,10 +9,9 @@ from coss.data import Dataset, augment, compose_batch, epoch_batches
 from coss.knn import NeighborIndex
 
 
-def ring_index(n=6, pool=2):
+def ring_index(n=6):
     # row i holds (i+2) % n and (i+5) % n: valid, self-free, duplicate-free
-    rows = (np.arange(n)[:, None] + np.array([2, 5])) % n
-    return NeighborIndex(n=n, pool=pool, neighbors=rows)
+    return NeighborIndex((np.arange(n)[:, None] + np.array([2, 5])) % n)
 
 
 class TestDataset:
@@ -81,7 +80,7 @@ class TestComposeBatch:
         assert sorted(batch[1:]) == [2, 5]
 
     def test_layout_anchors_first_then_neighbour_blocks(self):
-        idx = ring_index(n=10, pool=2)
+        idx = ring_index(n=10)
         anchors = np.array([4, 7, 1])
         k = 2
         batch = compose_batch(anchors, idx, k, np.random.default_rng(5))
@@ -94,7 +93,7 @@ class TestComposeBatch:
     @given(st.integers(0, 2), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_indices_stay_in_range(self, k, seed):
-        idx = ring_index(n=8, pool=2)
+        idx = ring_index(n=8)
         rng = np.random.default_rng(seed)
         anchors = rng.permutation(8)[:4]
         batch = compose_batch(anchors, idx, k, rng)

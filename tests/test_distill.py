@@ -77,11 +77,10 @@ class TestTrainingLoop:
 
     def test_logged_total_recomposes_from_parts(self):
         ds, teacher, _, idx = make_setup()
-        cfg = small_config(lam=0.5, beta=2.0)
+        cfg = small_config(lam=0.5)
         _, log = distill(cfg, ds, teacher, idx)
         for rec in log.steps:
-            recomposed = cfg.beta * (rec.l_co + cfg.lam * rec.l_ss)
-            assert abs(rec.l_total - recomposed) <= 1e-12
+            assert rec.l_total == rec.l_co + cfg.lam * rec.l_ss
 
     def test_plain_batches_ignore_the_index_contents(self):
         # with k=0 and no augmentation the run is a pure function of
@@ -138,10 +137,10 @@ class TestTrainingLoop:
 
     def test_ss_only_total_is_scaled_space_loss(self):
         ds, teacher, _, idx = make_setup()
-        cfg = small_config(loss_variant="ss_only", beta=1.5)
+        cfg = small_config(loss_variant="ss_only")
         _, log = distill(cfg, ds, teacher, idx)
         for rec in log.steps:
-            assert rec.l_total == pytest.approx(cfg.beta * rec.l_ss, abs=1e-12)
+            assert rec.l_total == rec.l_ss
 
     def test_bn_variant_trains(self):
         ds, teacher, _, idx = make_setup()
@@ -186,7 +185,9 @@ class TestTrainingLoop:
 # 3-epoch run of the bundled benchmark.  The weights were recorded before the
 # training step was fused into losses.objective and the neighbour draw into
 # one call; the log when the logged l_ss moved onto the column pass the
-# gradient uses, which moved no weight.
+# gradient uses, which moved no weight.  Recorded under OpenBLAS's SkylakeX
+# kernel: another kernel rounds training's matmuls differently (README
+# "Determinism").
 # A change here is a change of results: declare it, or find the bug.
 PINNED_RUNS = {
     "coss": ("909a3a007122fe7101f4f585c1202fd79e941fff1a223f6eb164e5ed40ed05c1",
@@ -237,7 +238,6 @@ class TestRunLog:
         _, log = distill(cfg, ds, teacher, idx)
         assert log.steps_per_epoch == 3  # ceil(20 / 8)
         assert len(log.steps) == 4 * 3
-        assert [r.step for r in log.steps] == list(range(12))
 
     def test_eval_hook_runs_once_per_epoch_on_a_snapshot(self):
         ds, teacher, _, idx = make_setup()

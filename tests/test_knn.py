@@ -69,23 +69,31 @@ class TestBuildIndex:
 class TestNeighborIndexInvariants:
     def test_rejects_self_reference(self):
         with pytest.raises(ValueError, match="own sample index"):
-            NeighborIndex(n=3, pool=1, neighbors=[[0], [0], [0]])
+            NeighborIndex([[0], [0], [0]])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            NeighborIndex(n=3, pool=2, neighbors=[[1, 1], [0, 2], [0, 1]])
+            NeighborIndex([[1, 1], [0, 2], [0, 1]])
 
     def test_rejects_duplicate_apart_in_a_later_row(self):
         with pytest.raises(ValueError, match="duplicate"):
-            NeighborIndex(n=4, pool=3, neighbors=[[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 2, 0]])
+            NeighborIndex([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 2, 0]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            NeighborIndex(n=3, pool=1, neighbors=[[5], [0], [0]])
+            NeighborIndex([[5], [0], [0]])
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError, match="pool ≥ 1"):
-            NeighborIndex(n=3, pool=0, neighbors=np.empty((3, 0), dtype=np.int64))
+            NeighborIndex(np.empty((3, 0), dtype=np.int64))
+
+    def test_rejects_an_array_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            NeighborIndex([1, 0])
+
+    def test_n_and_pool_are_the_shape(self):
+        index = NeighborIndex([[1, 2], [2, 0], [0, 1]])
+        assert (index.n, index.pool) == (3, 2)
 
 
 def per_anchor_draw(index, anchors, k, rng):
@@ -97,7 +105,7 @@ def per_anchor_draw(index, anchors, k, rng):
 class TestSampleNeighbors:
     def setup_method(self):
         shifted = (np.arange(10)[:, None] + np.array([1, 2, 3])) % 10
-        self.index = NeighborIndex(n=10, pool=3, neighbors=shifted)
+        self.index = NeighborIndex(shifted)
 
     def test_full_pool_is_permutation(self):
         got = sample_neighbors(self.index, np.array([0, 5]), 3, np.random.default_rng(0))
@@ -142,7 +150,7 @@ class TestSampleNeighbors:
         # permutation must fail here: training depends on the exact stream
         n = pool + 5
         neighbors = (np.arange(n)[:, None] + 1 + np.arange(pool)) % n
-        index = NeighborIndex(n=n, pool=pool, neighbors=neighbors)
+        index = NeighborIndex(neighbors)
         setup = np.random.default_rng([pool, m])
         anchors = setup.integers(0, n, size=m)
         for k in sorted({1, pool // 2 or 1, pool}):

@@ -78,38 +78,36 @@ class TestLossSs:
         assert loss_ss(S, T) == pytest.approx(brute_loss_ss(S, T), abs=1e-12)
 
 
-def total(S, T, lam, beta):
+def total(S, T, lam):
     return objective(np.asarray(S, dtype=np.float64), np.asarray(T, dtype=np.float64),
-                     DistillConfig(lam=lam, beta=beta))
+                     DistillConfig(lam=lam))
 
 
 class TestLossCoss:
     def test_both_terms_at_minimum(self):
         A = np.random.default_rng(1).uniform(0.5, 2.0, size=(4, 4))
-        assert total(A, A, 1.0, 1.0)[2] == pytest.approx(-2.0, abs=1e-12)
+        assert total(A, A, 1.0)[2] == pytest.approx(-2.0, abs=1e-12)
 
     def test_lambda_zero_reduces_to_co(self):
         S, T = random_pair(7)
-        l_co, _, l_total, _, _ = total(S, T, 0.0, 3.0)
-        assert l_total == 3.0 * l_co
+        l_co, _, l_total, _, _ = total(S, T, 0.0)
+        assert l_total == l_co
 
     def test_frozen_combination(self):
-        l_total = total([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.5, 2.0)[2]
-        assert l_total == pytest.approx(-1.8525410740083348, abs=1e-10)
+        l_total = total([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.5)[2]
+        assert l_total == pytest.approx(-0.9262705370041674, abs=1e-10)
 
     def test_breakdown_invariant(self):
         S, T = random_pair(13)
-        l_co, l_ss, l_total, _, _ = total(S, T, 0.7, 2.5)
-        assert l_total == pytest.approx(2.5 * (l_co + 0.7 * l_ss), abs=1e-12)
+        l_co, l_ss, l_total, _, _ = total(S, T, 0.7)
+        assert l_total == l_co + 0.7 * l_ss
         assert -1.0 <= l_co <= 1.0
         assert -1.0 <= l_ss <= 1.0
 
     def test_rejects_bad_weights(self):
-        # the weights are checked once, where a config enters the program
+        # the weight is checked once, where a config enters the program
         with pytest.raises(ConfigError, match="lambda"):
             validate_config(DistillConfig(lam=-0.1))
-        with pytest.raises(ConfigError, match="beta"):
-            validate_config(DistillConfig(beta=0.0))
 
 
 class TestInvariances:
@@ -139,7 +137,7 @@ class TestInvariances:
         S, T = random_pair(seed, shape=(b, d))
         assert abs(loss_ss(S, T) - loss_co(S.T, T.T)) <= 4 * _gamma(b, UNIT_ROUNDOFF)
         # the logged l_ss is the per-term function's, bit for bit
-        assert total(S, T, 1.0, 1.0)[1] == loss_ss(S, T)
+        assert total(S, T, 1.0)[1] == loss_ss(S, T)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -168,19 +166,19 @@ class TestGradCoss:
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         A_s, A_t = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        lam, beta = rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0)
-        analytic = total(A_s, A_t, lam, beta)[3]
-        numeric = finite_diff(lambda X: total(X, A_t, lam, beta)[2], A_s)
+        lam = rng.uniform(0.0, 2.0)
+        analytic = total(A_s, A_t, lam)[3]
+        numeric = finite_diff(lambda X: total(X, A_t, lam)[2], A_s)
         assert_grad_close(analytic, numeric, rtol=1e-6)
 
     def test_lambda_zero_isolates_row_term(self):
         S, T = random_pair(17)
-        np.testing.assert_array_equal(total(S, T, 0.0, 2.0)[3], 2.0 * grad_co(S, T))
+        np.testing.assert_array_equal(total(S, T, 0.0)[3], grad_co(S, T))
 
     def test_term_decomposition(self):
         S, T = random_pair(19)
         np.testing.assert_array_equal(
-            total(S, T, 0.4, 1.5)[3], 1.5 * (grad_co(S, T) + 0.4 * grad_ss(S, T))
+            total(S, T, 0.4)[3], grad_co(S, T) + 0.4 * grad_ss(S, T)
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -282,13 +280,13 @@ def per_term(S, T, cfg, bn):
     l_co, l_ss = loss_co(S, T), loss_ss(S, T)
     if cfg.loss_variant == "bn":
         l_total, G, d_gamma, d_beta = loss_bn(S, T, bn)
-        return l_co, l_ss, cfg.beta * l_total, cfg.beta * G, [cfg.beta * d_gamma, cfg.beta * d_beta]
+        return l_co, l_ss, l_total, G, [d_gamma, d_beta]
     if cfg.loss_variant == "ss_only":
-        return l_co, l_ss, cfg.beta * l_ss, cfg.beta * grad_ss(S, T), []
+        return l_co, l_ss, l_ss, grad_ss(S, T), []
     if cfg.loss_variant == "coss" and cfg.lam != 0.0:
         G = grad_co(S, T) + cfg.lam * grad_ss(S, T)
-        return l_co, l_ss, cfg.beta * (l_co + cfg.lam * l_ss), cfg.beta * G, []
-    return l_co, l_ss, cfg.beta * l_co, cfg.beta * grad_co(S, T), []
+        return l_co, l_ss, l_co + cfg.lam * l_ss, G, []
+    return l_co, l_ss, l_co, grad_co(S, T), []
 
 
 def bits(values):
@@ -303,11 +301,11 @@ def bits(values):
 
 
 OBJECTIVE_CONFIGS = {
-    "coss": dict(lam=0.7, beta=1.3),
-    "co_only": dict(loss_variant="co_only", lam=0.7, beta=1.3),
-    "ss_only": dict(loss_variant="ss_only", lam=0.7, beta=1.3),
-    "lam0": dict(lam=0.0, beta=1.3),
-    "bn": dict(loss_variant="bn", lam=0.7, beta=1.3, bn_eps=1e-5),
+    "coss": dict(lam=0.7),
+    "co_only": dict(loss_variant="co_only", lam=0.7),
+    "ss_only": dict(loss_variant="ss_only", lam=0.7),
+    "lam0": dict(lam=0.0),
+    "bn": dict(loss_variant="bn", lam=0.7, bn_eps=1e-5),
 }
 
 
@@ -348,8 +346,8 @@ class TestObjective:
         objective(S, T, cfg, bn)
         assert len(calls) == 2
 
-    def test_bn_is_scaled_by_beta(self):
+    def test_bn_total_is_the_bn_loss(self):
         S, T = random_pair(7, shape=(6, 3))
-        cfg = DistillConfig(loss_variant="bn", beta=1.3)
+        cfg = DistillConfig(loss_variant="bn")
         bn = BnParams(np.ones(3), np.zeros(3), eps=cfg.bn_eps)
-        assert objective(S, T, cfg, bn)[2] == 1.3 * loss_bn(S, T, bn)[0]
+        assert objective(S, T, cfg, bn)[2] == loss_bn(S, T, bn)[0]

@@ -114,7 +114,7 @@ class TestBackward:
         teacher = init_model(MlpSpec((5, 6, 4), hidden_activation="tanh"), seed=9)
         X = rng.normal(size=(6, 5))
         T, _ = forward(teacher, X)
-        cfg = DistillConfig(lam=0.7, beta=1.3)
+        cfg = DistillConfig(lam=0.7)
 
         def total_loss():
             S, _ = forward(student, X)
@@ -176,7 +176,7 @@ class TestChain:
 
         emb, cache_s = forward(student, X)
         A_s, cache_h = forward(head, emb) if with_head else (emb, None)
-        G = objective(A_s, T, DistillConfig(lam=0.7, beta=1.3))[3]
+        G = objective(A_s, T, DistillConfig(lam=0.7))[3]
         head_grads, G_s = separate_backward(head, cache_h, G) if with_head else ([], G)
         expected = separate_backward(student, cache_s, G_s)[0] + head_grads
 
@@ -195,7 +195,7 @@ class TestChain:
         chain = MlpModel(student.layers + init_model(MlpSpec((3, 4)), seed=6).layers)
         X = rng.normal(size=(7, 5))
         T = rng.normal(size=(7, 4))
-        cfg = DistillConfig(lam=0.6, beta=1.2)
+        cfg = DistillConfig(lam=0.6)
 
         def total_loss():
             return objective(forward(chain, X)[0], T, cfg)[2]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -103,7 +104,35 @@ def test_bench_pair_summary_on_fixed_numbers():
     s = summarize([10.0, 10.0, 10.0], [11.0, 12.0, 9.0], "higher", 0.1)
     assert (s["rev_median"], s["rev_iqr"], s["change_median"]) == (10.0, 0.0, 11.0)
     assert (s["change_wins"], s["rev_wins"]) == (2, 1)
-    assert not s["unresolved"]
+    assert not s["unresolved"] and not s["unchanged"]
+    # every pair tied: unchanged, however wide REV's spread
+    s = summarize([0.5, 0.75, 0.75, 1.0], [0.5, 0.75, 0.75, 1.0], "higher", 0.1)
+    assert s["unchanged"] and not s["unresolved"] and not s["worse"]
+    assert (s["rev_iqr"], s["change_wins"], s["rev_wins"]) == (0.125, 0, 0)
+
+
+def test_bench_pair_rounds_on_fixed_numbers(tmp_path):
+    bench_pair = load_script("bench_pair")
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    body = {"samples": {"pipeline_s": [6.6, 6.7, 6.8], "peak_rss_mb": [68.7, 137.0, 155.6]}}
+    (out / "e2e-wide_cli-seed2.json").write_text(json.dumps(body), encoding="utf-8")
+    assert bench_pair.read_rounds(tmp_path, "wide_cli", 2) == 3
+    with pytest.raises(bench_pair.PairError, match="seed 3"):
+        bench_pair.read_rounds(tmp_path, "wide_cli", 3)
+
+    runs = [{"side": side, "seed": seed, "rounds": rounds}
+            for side, seed, rounds in [("rev", 1, 3), ("change", 1, 3), ("change", 2, 4),
+                                       ("rev", 2, 3), ("rev", 3, 4), ("change", 3, 4)]]
+    rounds = bench_pair.rounds_by_side(runs)
+    assert rounds == {"rev": [3, 3, 4], "change": [3, 4, 4], "differing_pairs": 1}
+
+    summary = {name: bench_pair.summarize([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "lower", 0.05)
+               for name in ("pipeline_s", "peak_rss_mb")}
+    lines = bench_pair.table({"wide_cli": {"summary": summary, "rounds": rounds}}).splitlines()
+    assert lines[0].split("\t")[-1] == "rounds"
+    assert lines[1].split("\t")[-3:] == ["unchanged", "within", "3-4 / 3-4"]
+    assert lines[2].split("\t")[-1] == "3-4 / 3-4 (differ in 1/3 pairs)"
 
 
 @pytest.mark.parametrize("better,change,worse", [
