@@ -10,7 +10,7 @@ kernels and ``objective``, the fused loss, trust its checks, so they are
 imported from their modules, as ``linalg``'s kernels are.
 """
 
-from .config import DistillConfig, config_hash, load_config, render_config, validate_config
+from .config import DistillConfig, config_hash, load_config, render_config
 from .data import Dataset
 from .distill import ABLATION_GRIDS, RunLog, StepRecord, ablate, distill
 from .errors import ConfigError, FormatError, NumericalError

@@ -3,8 +3,9 @@
 ``DistillConfig`` declares every setting once: the INI keys and their
 kinds and the render order come from its fields, and the hash is that of
 the rendered INI.  Every key has a default; only data paths (which live on
-the command line, not in the file) are mandatory.  Validation failures
-name the violated invariant so the CLI can surface it verbatim.
+the command line, not in the file) are mandatory.  A config checks itself
+when it is built, so no invalid one exists; the ``ConfigError`` names the
+first violated invariant, and the CLI surfaces it verbatim.
 """
 
 from __future__ import annotations
@@ -39,6 +40,46 @@ class DistillConfig:
     student_dim: int = 8
     student_activation: str = "relu"
 
+    def __post_init__(self):
+        # NaN passes every comparison below, and training checks no value again
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{_KEYS[f.name][1]} must be finite")
+        if self.lam < 0:
+            raise ConfigError("lambda ≥ 0")
+        if self.k < 0:
+            raise ConfigError("k ≥ 0")
+        if self.pool < 1:
+            raise ConfigError("pool ≥ 1")
+        if self.k > self.pool:
+            raise ConfigError("k ≤ pool")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size ≥ 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs ≥ 1")
+        if self.lr < 0:
+            raise ConfigError("lr ≥ 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum ∈ [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay ≥ 0")
+        if self.aug_sigma < 0:
+            raise ConfigError("aug_sigma ≥ 0")
+        if self.seed < 0:
+            raise ConfigError("seed ≥ 0")
+        if self.loss_variant not in LOSS_VARIANTS:
+            raise ConfigError("loss_variant ∈ {coss, co_only, ss_only, bn}")
+        if self.bn_eps <= 0:
+            raise ConfigError("bn_eps > 0")
+        if self.loss_variant == "bn" and self.batch_size * (1 + self.k) < 2:
+            raise ConfigError("batch_size × (1 + k) ≥ 2 for bn")
+        if not self.student_hidden or any(h < 1 for h in self.student_hidden):
+            raise ConfigError("student hidden dims ≥ 1")
+        if self.student_dim < 1:
+            raise ConfigError("student output_dim ≥ 1")
+        if self.student_activation not in ACTIVATIONS:
+            raise ConfigError(f"student activation ∈ {{{', '.join(ACTIVATIONS)}}}")
+
     def student_spec(self, input_dim: int) -> MlpSpec:
         dims = (input_dim, *self.student_hidden, self.student_dim)
         return MlpSpec(dims, hidden_activation=self.student_activation)
@@ -57,46 +98,6 @@ _KEYS = {f.name: ("distill", f.name) for f in fields(DistillConfig)} | {
 }
 _FIELD_AT = {_KEYS[f.name]: f for f in fields(DistillConfig)}
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS.values()))
-
-
-def validate_config(cfg: DistillConfig) -> None:
-    """Raise ConfigError naming the first violated invariant."""
-    # NaN passes every comparison below, and training checks no value again
-    for f in fields(cfg):
-        if type(f.default) is float and not math.isfinite(getattr(cfg, f.name)):
-            raise ConfigError(f"{_KEYS[f.name][1]} must be finite")
-    if cfg.lam < 0:
-        raise ConfigError("lambda ≥ 0")
-    if cfg.k < 0:
-        raise ConfigError("k ≥ 0")
-    if cfg.pool < 1:
-        raise ConfigError("pool ≥ 1")
-    if cfg.k > cfg.pool:
-        raise ConfigError("k ≤ pool")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size ≥ 1")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs ≥ 1")
-    if cfg.lr < 0:
-        raise ConfigError("lr ≥ 0")
-    if not 0.0 <= cfg.momentum < 1.0:
-        raise ConfigError("momentum ∈ [0, 1)")
-    if cfg.weight_decay < 0:
-        raise ConfigError("weight_decay ≥ 0")
-    if cfg.aug_sigma < 0:
-        raise ConfigError("aug_sigma ≥ 0")
-    if cfg.loss_variant not in LOSS_VARIANTS:
-        raise ConfigError("loss_variant ∈ {coss, co_only, ss_only, bn}")
-    if cfg.bn_eps <= 0:
-        raise ConfigError("bn_eps > 0")
-    if cfg.loss_variant == "bn" and cfg.batch_size * (1 + cfg.k) < 2:
-        raise ConfigError("batch_size × (1 + k) ≥ 2 for bn")
-    if not cfg.student_hidden or any(h < 1 for h in cfg.student_hidden):
-        raise ConfigError("student hidden dims ≥ 1")
-    if cfg.student_dim < 1:
-        raise ConfigError("student output_dim ≥ 1")
-    if cfg.student_activation not in ACTIVATIONS:
-        raise ConfigError(f"student activation ∈ {{{', '.join(ACTIVATIONS)}}}")
 
 
 def _parse_value(f, raw: str):
@@ -128,9 +129,7 @@ def parse_config_text(text: str) -> DistillConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    cfg = DistillConfig(**overrides)
-    validate_config(cfg)
-    return cfg
+    return DistillConfig(**overrides)
 
 
 def load_config(path) -> DistillConfig:

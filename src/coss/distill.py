@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DistillConfig, config_hash, validate_config
+from .config import DistillConfig, config_hash
 from .data import Dataset, augment, compose_batch, epoch_batches
 from .errors import ConfigError, NumericalError
 from .knn import NeighborIndex
@@ -22,7 +22,7 @@ from .linalg import as_matrix
 from .losses import BnParams, objective
 # not called here; perfbench --trace 1 wraps these names on this module
 from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
-from .models import MlpModel, MlpSpec, SgdState, backward, forward, init_model, sgd_step
+from .models import MlpModel, MlpSpec, backward, forward, init_model, sgd_step
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ def distill(
     ``teacher`` is a frozen MlpModel or a precomputed (n, d_t) embedding
     matrix (the latter only with aug_sigma = 0).  ``eval_hook``, when
     given, is called as ``eval_hook(student, epoch)`` after every epoch
-    and its result is appended to the log.  The arguments are checked here,
-    before the first draw; the step kernels (``epoch_batches``, ``compose_batch``,
-    ``sample_neighbors``, ``augment``, ``backward``, ``sgd_step``) trust it.
+    and its result is appended to the log.  ``config`` checked itself when
+    built; the rest is checked here, before the first draw.  The step
+    kernels (``epoch_batches``, ``compose_batch``, ``sample_neighbors``,
+    ``augment``, ``backward``, ``sgd_step``) trust both.
     """
-    validate_config(config)
     X = dataset.inputs  # training never touches dataset.labels
     n, input_dim = X.shape
     if index.n != n:
@@ -108,7 +108,7 @@ def distill(
     params = chain.parameters()
     if bn is not None:
         params = params + [bn.gamma, bn.beta_shift]
-    opt = SgdState(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
+    velocities = [np.zeros_like(p) for p in params]
 
     log = RunLog(steps_per_epoch=-(-n // config.batch_size))
 
@@ -129,7 +129,7 @@ def distill(
             if not np.isfinite(l_total):
                 raise NumericalError(f"non-finite loss at step {len(log.steps)}")
 
-            sgd_step(params, backward(chain, cache, G) + bn_grads, opt)
+            sgd_step(params, backward(chain, cache, G) + bn_grads, velocities, config)
 
             log.steps.append(StepRecord(l_co=l_co, l_ss=l_ss, l_total=l_total))
         if eval_hook is not None:
@@ -156,9 +156,10 @@ def ablate(base_config: DistillConfig, dataset: Dataset, teacher, index: Neighbo
     accuracy on held-out labels).  Returns one row per run, in grid order.
     """
     key_col, field_name, runs = ABLATION_GRIDS[grid]
+    # every run's config is built, and so checked, before the first one trains
+    configs = [base_config.replace(**overrides) for overrides in runs]
     rows = []
-    for overrides in runs:
-        cfg = base_config.replace(**overrides)
+    for cfg in configs:
         student, log = distill(cfg, dataset, teacher, index)
         last = log.steps[-1]
         rows.append(

@@ -266,7 +266,8 @@ def render_report(records) -> str:
     return "".join(lines)
 
 
-def parse_report(text: str) -> dict:
+def parse_report(text: str) -> dict[str, str]:
+    """Each line's key and value text; a reader converts the values it needs."""
     out = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -274,25 +275,14 @@ def parse_report(text: str) -> dict:
         key, sep, raw = line.partition("\t")
         if not sep:
             raise FormatError(f"report line {line_no} has no tab separator")
-        out[key] = _parse_scalar(raw)
+        out[key] = raw
     return out
-
-
-def _parse_scalar(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
 
 
 def write_report(path, records) -> None:
     atomic_write(path, render_report(records).encode("utf-8"))
 
 
-def read_report(path) -> dict:
+def read_report(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_report(fh.read())

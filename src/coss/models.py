@@ -167,28 +167,18 @@ def backward(model: MlpModel, cache: list, G) -> list[np.ndarray]:
     return grads
 
 
-@dataclass
-class SgdState:
-    """SGD-with-momentum hyperparameters and per-parameter velocity buffers."""
-
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocities: list[np.ndarray] | None = None
-
-
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], state: SgdState) -> None:
+def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
+             velocities: list[np.ndarray], cfg) -> None:
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    Parameters and velocity buffers are updated in place.  Takes one
-    gradient per parameter, of its shape, as ``distill`` builds them.
+    Parameters and velocity buffers are updated in place; ``cfg`` supplies
+    ``lr``, ``momentum`` and ``weight_decay``.  Takes one gradient and one
+    velocity per parameter, of its shape, as ``distill`` builds them.
     """
-    if state.velocities is None:
-        state.velocities = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, state.velocities):
-        v *= state.momentum
-        if state.weight_decay != 0.0:
-            v += g + state.weight_decay * p
+    for p, g, v in zip(params, grads, velocities):
+        v *= cfg.momentum
+        if cfg.weight_decay != 0.0:
+            v += g + cfg.weight_decay * p
         else:
             v += g
-        p -= state.lr * v
+        p -= cfg.lr * v

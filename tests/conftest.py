@@ -6,7 +6,36 @@ explicit O(N^2) loop, so each test compares two independent routes to
 the same number.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
+
+
+def blas_kernel() -> str:
+    """The core name of NumPy's bundled OpenBLAS, such as "SkylakeX", or "unknown".
+
+    Read from ``scipy_openblas_get_corename64_`` in the ``numpy.libs``
+    library, the copy NumPy has loaded, so ``OPENBLAS_CORETYPE`` shows.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pin_note() -> str:
+    """A failing pin's message: the kernel it ran under and the one it was recorded under.
+
+    Another kernel rounds training's and the probe's matmuls differently
+    (README "Determinism").
+    """
+    return f"ran under OpenBLAS kernel {blas_kernel()}, recorded under SkylakeX"
 
 
 def finite_diff(f, X, h=1e-6):

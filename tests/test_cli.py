@@ -27,7 +27,7 @@ from coss.io import (
 )
 from coss.models import MlpSpec, forward, init_model
 
-from conftest import corruptions
+from conftest import corruptions, pin_note
 
 CONFIG_TEXT = (
     "[distill]\n"
@@ -205,9 +205,9 @@ class TestDistill:
         stdout = capsys.readouterr().out
         assert "run_id\t" in stdout
         metrics = read_report(out_dir / "metrics.tsv")
-        assert metrics["n"] == 20
-        assert metrics["steps_per_epoch"] == 4
-        assert metrics["total_steps"] == 8
+        assert metrics["n"] == "20"
+        assert metrics["steps_per_epoch"] == "4"
+        assert metrics["total_steps"] == "8"
         assert "step.000007.l_total" in metrics
 
     def test_invalid_config_names_the_invariant(self, workspace, capsys):
@@ -215,6 +215,13 @@ class TestDistill:
         code, _ = run_distill(workspace)
         assert code == 2
         assert "lambda ≥ 0" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, workspace, capsys):
+        workspace["config"].write_text("[distill]\nseed = -1\n", encoding="utf-8")
+        code, out_dir = run_distill(workspace)
+        assert code == 2
+        assert "seed ≥ 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -241,9 +248,7 @@ class TestDistill:
         code, out_dir = run_distill(workspace)
         assert code == 0
         digest = hashlib.sha256((out_dir / "config.ini").read_bytes()).hexdigest()
-        # read raw: parse_report would take an all-digit run_id for an int
-        text = (out_dir / "metrics.tsv").read_text(encoding="utf-8")
-        records = dict(line.split("\t", 1) for line in text.splitlines())
+        records = read_report(out_dir / "metrics.tsv")
         assert records["config_hash"] == digest
         assert records["run_id"] == digest[:12]
         assert f"run_id\t{digest[:12]}\n" in capsys.readouterr().out
@@ -321,7 +326,7 @@ class TestEval:
         assert code == 0
         parsed = read_report(report)
         assert parsed["suite"] == "knn"
-        assert parsed["accuracy"] == 1.0
+        assert float(parsed["accuracy"]) == 1.0
         assert "accuracy" in capsys.readouterr().out
 
     def test_knn_suite_votes_any_nonnegative_label(self, workspace, capsys):
@@ -336,7 +341,7 @@ class TestEval:
         emb, _ = forward(read_model(workspace["teacher"]), dataset.inputs)
         train, test = holdout_split(dataset.n, 4)
         expected = knn_classify(emb[train], labels[train], emb[test], labels[test], 3)
-        assert read_report(report)["accuracy"] == expected
+        assert float(read_report(report)["accuracy"]) == expected
 
     def test_retrieval_on_one_sample_names_the_gallery_size(self, workspace, capsys):
         data = workspace["root"] / "one.cssd"
@@ -414,8 +419,8 @@ class TestEval:
         )
         assert code == 0
         parsed = read_report(report)
-        assert parsed["mean_row_cosine"] == pytest.approx(1.0, abs=1e-12)
-        assert parsed["min_dim_cosine"] == pytest.approx(1.0, abs=1e-12)
+        assert float(parsed["mean_row_cosine"]) == pytest.approx(1.0, abs=1e-12)
+        assert float(parsed["min_dim_cosine"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_align_requires_teacher(self, workspace, capsys):
         code = main(
@@ -498,7 +503,7 @@ class TestAblate:
         assert len(table) == 1 + 3
         assert table[0].split()[0] == "variant"
         parsed = read_report(report)
-        assert parsed["rows"] == 3
+        assert parsed["rows"] == "3"
         assert "row.coss.accuracy" in parsed
 
     def test_lambda_grid_prints_four_rows(self, workspace, capsys):
@@ -507,7 +512,7 @@ class TestAblate:
         table = capsys.readouterr().out.strip().splitlines()
         assert len(table) == 1 + 4
         parsed = read_report(report)
-        assert parsed["rows"] == 4
+        assert parsed["rows"] == "4"
         assert "row.0.25.accuracy" in parsed
 
     def test_report_round_trips_table_values(self, workspace, capsys):
@@ -538,7 +543,7 @@ class TestAblate:
         assert code == 0
         table = capsys.readouterr().out.encode("utf-8")
         digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), table))
-        assert digests == self.PINNED_REPORTS[grid]
+        assert digests == self.PINNED_REPORTS[grid], pin_note()
 
 
 class TestProbeReport:
@@ -567,7 +572,7 @@ class TestProbeReport:
         assert code == 0
         printed = capsys.readouterr().out.encode("utf-8")
         digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), printed))
-        assert digests == self.PINNED_PROBE_REPORTS[extra]
+        assert digests == self.PINNED_PROBE_REPORTS[extra], pin_note()
 
 
 class TestExitCodes:

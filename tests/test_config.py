@@ -11,7 +11,6 @@ from coss.config import (
     load_config,
     parse_config_text,
     render_config,
-    validate_config,
 )
 from coss.errors import ConfigError
 from coss.models import ACTIVATIONS
@@ -27,7 +26,6 @@ class TestDefaults:
         assert cfg.epochs == 50
         assert cfg.momentum == 0.9
         assert cfg.loss_variant == "coss"
-        validate_config(cfg)
 
     def test_student_spec_chains_dimensions(self):
         spec = DistillConfig(student_hidden=(48,), student_dim=8).student_spec(32)
@@ -61,13 +59,14 @@ INVALID_CASES = [
     ({"student_hidden": ()}, "hidden"),
     ({"student_dim": 0}, "output_dim"),
     ({"student_activation": "gelu"}, "activation"),
+    ({"seed": -1}, "seed ≥ 0"),
 ]
 
 
 @pytest.mark.parametrize("overrides,message", INVALID_CASES)
 def test_validation_names_the_violated_invariant(overrides, message):
     with pytest.raises(ConfigError, match=message):
-        validate_config(DistillConfig(**overrides))
+        DistillConfig(**overrides)
 
 
 FLOAT_KEYS = ("lambda", "lr", "momentum", "weight_decay", "aug_sigma", "bn_eps")
@@ -129,7 +128,7 @@ class TestParse:
 
     def test_activation_message_lists_the_names_in_order(self):
         with pytest.raises(ConfigError) as info:
-            validate_config(DistillConfig(student_activation="gelu"))
+            DistillConfig(student_activation="gelu")
         assert str(info.value) == "student activation ∈ {identity, relu, tanh}"
 
     def test_unparseable_value_rejected(self):
@@ -152,7 +151,7 @@ def _floats(**bounds):
 
 @st.composite
 def valid_configs(draw):
-    """Configs that pass ``validate_config``, every field drawn."""
+    """Valid configs, every field drawn."""
     pool = draw(st.integers(1, 10**6))
     k = draw(st.integers(0, pool))
     variant = draw(st.sampled_from(LOSS_VARIANTS))

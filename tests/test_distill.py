@@ -11,11 +11,13 @@ import coss.losses as losses_mod
 from coss.benchmark import benchmark_config, make_benchmark_dataset, make_benchmark_teacher
 from coss.config import DistillConfig, config_hash
 from coss.data import Dataset
-from coss.distill import ablate, distill
+from coss.distill import ABLATION_GRIDS, ablate, distill
 from coss.errors import ConfigError, NumericalError
 from coss.io import encode_model
 from coss.knn import build_index
 from coss.models import MlpSpec, forward, init_model
+
+from conftest import pin_note
 
 
 def make_setup(n=24, input_dim=6, d_t=5, seed=0, pool=4):
@@ -213,7 +215,8 @@ def test_bundled_runs_keep_their_bytes(bundled_benchmark, variant):
     student, log = distill(benchmark_config(epochs=3, loss_variant=variant), data, teacher, index)
     weights = hashlib.sha256(b"".join(p.tobytes() for p in student.parameters())).hexdigest()
     losses = np.array([[r.l_co, r.l_ss, r.l_total] for r in log.steps])
-    assert (weights, hashlib.sha256(losses.tobytes()).hexdigest()) == PINNED_RUNS[variant]
+    digests = (weights, hashlib.sha256(losses.tobytes()).hexdigest())
+    assert digests == PINNED_RUNS[variant], pin_note()
 
 
 class TestProjectionHead:
@@ -319,3 +322,12 @@ class TestAblations:
         rows = ablate(cfg, ds, teacher, idx, self.eval_fn(ds, teacher), "lambda")
         assert [r["lambda"] for r in rows] == [0.0, 0.25, 0.5, 1.0]
         assert len({r["config_hash"] for r in rows}) == 4
+
+    def test_every_grid_row_is_checked_before_the_first_run_trains(self, monkeypatch):
+        ds, teacher, _, idx = make_setup()
+        scored = []
+        grid = ("lambda", "lam", [{"lam": 0.5}, {"lam": -1.0}])
+        monkeypatch.setitem(ABLATION_GRIDS, "lambda", grid)
+        with pytest.raises(ConfigError, match="lambda ≥ 0"):
+            ablate(small_config(), ds, teacher, idx, scored.append, "lambda")
+        assert scored == []

@@ -354,7 +354,7 @@ class TestAtomicWrite:
 
 
 class TestReport:
-    def test_round_trip_preserves_types_and_precision(self):
+    def test_round_trip_preserves_text_and_precision(self):
         records = [
             ("run_id", "ab12cd34ef56"),
             ("epochs", 50),
@@ -363,12 +363,16 @@ class TestReport:
         ]
         back = parse_report(render_report(records))
         assert back["run_id"] == "ab12cd34ef56"
-        assert back["epochs"] == 50
-        assert back["l_total"] == -1.2345678901234567
-        assert back["accuracy"] == 0.925
+        assert back["epochs"] == "50"
+        assert float(back["l_total"]) == -1.2345678901234567
+        assert float(back["accuracy"]) == 0.925
+
+    def test_values_that_look_like_numbers_stay_text(self):
+        back = parse_report("run_id\t123456789012\nconfig_hash\t1e5\n")
+        assert back == {"run_id": "123456789012", "config_hash": "1e5"}
 
     def test_mapping_input_accepted(self):
-        assert parse_report(render_report({"a": 1})) == {"a": 1}
+        assert parse_report(render_report({"a": 1})) == {"a": "1"}
 
     def test_missing_tab_rejected(self):
         with pytest.raises(FormatError, match="no tab separator"):
@@ -381,4 +385,4 @@ class TestReport:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "metrics.tsv"
         write_report(path, {"x": 1.5, "name": "probe"})
-        assert read_report(path) == {"x": 1.5, "name": "probe"}
+        assert read_report(path) == {"x": "1.5", "name": "probe"}

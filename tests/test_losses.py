@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 import coss.linalg as linalg_mod
 import coss.losses as losses_mod
 from conftest import assert_grad_close, brute_loss_co, brute_loss_ss, finite_diff
-from coss.config import DistillConfig, validate_config
+from coss.config import DistillConfig
 from coss.errors import ConfigError
 from coss.linalg import UNIT_ROUNDOFF, _gamma
 from coss.losses import (
@@ -107,7 +107,7 @@ class TestLossCoss:
     def test_rejects_bad_weights(self):
         # the weight is checked once, where a config enters the program
         with pytest.raises(ConfigError, match="lambda"):
-            validate_config(DistillConfig(lam=-0.1))
+            DistillConfig(lam=-0.1)
 
 
 class TestInvariances:

@@ -16,7 +16,6 @@ from coss.models import (
     Layer,
     MlpModel,
     MlpSpec,
-    SgdState,
     backward,
     forward,
     init_model,
@@ -249,36 +248,36 @@ class TestChain:
 
 
 class TestSgdStep:
+    @staticmethod
+    def step(p, g, velocity=None, **config):
+        """One ``sgd_step`` of the single parameter ``p`` under ``DistillConfig(**config)``."""
+        velocity = np.zeros_like(p) if velocity is None else velocity
+        sgd_step([p], [g], [velocity], DistillConfig(**config))
+
     def test_vanilla_step(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        sgd_step([p], [g.copy()], SgdState(lr=0.1))
+        self.step(p, g.copy(), lr=0.1, momentum=0.0)
         np.testing.assert_allclose(p, [0.95, 2.05], rtol=1e-15)
 
     def test_two_momentum_steps_follow_hand_recursion(self):
         # v1 = g, v2 = 0.9 g + g: total displacement 2.9 * lr * g
         p = np.array([1.0])
         g = np.array([2.0])
-        state = SgdState(lr=0.1, momentum=0.9)
-        sgd_step([p], [g], state)
-        sgd_step([p], [g], state)
+        velocity = np.zeros_like(p)
+        self.step(p, g, velocity, lr=0.1, momentum=0.9)
+        self.step(p, g, velocity, lr=0.1, momentum=0.9)
         np.testing.assert_allclose(p, [1.0 - 2.9 * 0.1 * 2.0], rtol=1e-14)
 
     def test_zero_learning_rate_freezes_parameters(self):
         p = np.array([[1.0, -1.0]])
-        sgd_step([p], [np.full_like(p, 9.0)], SgdState(lr=0.0, momentum=0.5))
+        self.step(p, np.full_like(p, 9.0), lr=0.0, momentum=0.5)
         np.testing.assert_array_equal(p, [[1.0, -1.0]])
 
     def test_weight_decay_pulls_toward_zero(self):
         p = np.array([10.0])
-        sgd_step([p], [np.zeros(1)], SgdState(lr=0.1, weight_decay=0.5))
+        self.step(p, np.zeros(1), lr=0.1, momentum=0.0, weight_decay=0.5)
         np.testing.assert_allclose(p, [10.0 - 0.1 * 0.5 * 10.0], rtol=1e-15)
-
-    def test_velocity_buffers_mirror_parameter_shapes(self):
-        params = [np.zeros((2, 3)), np.zeros(2)]
-        state = SgdState(lr=0.1)
-        sgd_step(params, [np.ones((2, 3)), np.ones(2)], state)
-        assert [v.shape for v in state.velocities] == [(2, 3), (2,)]
 
 
 class TestInit:

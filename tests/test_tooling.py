@@ -12,6 +12,8 @@ import pytest
 
 import coss
 
+from conftest import blas_kernel
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(coss.__file__).parent.glob("*.py"))
 
@@ -84,6 +86,15 @@ def test_every_import_is_used():
 def test_unused_import_check_sees_an_unused_name():
     source = "import os\nimport sys  # noqa: F401\nfrom a import b, c\nprint(b)\n"
     assert unused_imports(source) == ["c (line 3)", "os (line 1)"]
+
+
+def test_blas_kernel_reads_the_kernel_openblas_runs():
+    if blas_kernel() == "unknown":
+        pytest.skip("no bundled OpenBLAS to read")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c", "import conftest; print(conftest.blas_kernel())"],
+                          cwd=ROOT / "tests", env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "Haswell"
 
 
 def load_script(name: str):
