@@ -9,6 +9,7 @@ written to disk.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -20,8 +21,8 @@ from .config import config_hash, load_config, render_config
 from .data import Dataset
 from .distill import ABLATION_GRIDS, ablate, distill, teacher_embeddings
 from .errors import ConfigError, FormatError, NumericalError
-from .evaluate import (alignment_diagnostics, check_k_eval, holdout_split, knn_classify,
-                       linear_probe, recall_at_k)
+from .evaluate import (alignment_diagnostics, holdout_split, knn_classify, linear_probe,
+                       recall_at_k)
 from .knn import build_index
 from .models import forward
 
@@ -79,6 +80,20 @@ def cmd_precompute(args) -> int:
     return EXIT_OK
 
 
+def _check_eval_options(args, suite: str) -> None:
+    """ConfigError for an out-of-range option that ``suite`` reads, before any file is read."""
+    if suite in ("knn", "probe") and args.split_seed < 0:
+        raise ConfigError("split_seed ≥ 0")
+    if suite == "knn" and args.k_eval < 1:
+        raise ConfigError("k_eval ≥ 1")
+    if suite == "retrieval" and args.recall_k < 1:
+        raise ConfigError("recall_k ≥ 1")
+    if suite == "probe" and not (math.isfinite(args.lr) and args.lr > 0):
+        raise ConfigError("probe lr must be finite and > 0")
+    if suite == "probe" and args.epochs < 0:
+        raise ConfigError("probe epochs ≥ 0")
+
+
 def _require_labels(dataset: Dataset, suite: str) -> np.ndarray:
     if dataset.labels is None:
         raise ConfigError(f"suite '{suite}' requires labels in the dataset")
@@ -124,6 +139,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_eval_options(args, args.suite)
     _check_out(args.out)
     dataset = io.read_dataset(args.data)
     student = io.read_model(args.student)
@@ -180,15 +196,14 @@ def _render_table(rows: list[dict], columns: list[str]) -> str:
 
 
 def cmd_ablate(args) -> int:
+    _check_eval_options(args, "knn")  # a bad one would otherwise fail after the first run trained
     _check_out(args.out)
     cfg = load_config(args.config)
     dataset = io.read_dataset(args.data)
     labels = _require_labels(dataset, f"ablate --grid {args.grid}")
     teacher = _load_teacher(args.teacher)
     index = io.read_index(args.index)
-    # a bad seed or k_eval would otherwise fail only after the first run trained
     train_idx, test_idx = holdout_split(len(labels), args.split_seed)
-    check_k_eval(args.k_eval)
 
     def eval_fn(student):
         emb, _ = forward(student, dataset.inputs)

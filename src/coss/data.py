@@ -76,7 +76,8 @@ def compose_batch(anchors, index: NeighborIndex, k: int, rng: np.random.Generato
 def augment(X, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Additive Gaussian noise, entrywise: X + sigma * G.
 
-    Takes ``distill``'s checked float64 batch and ``sigma >= 0``, and draws
-    the noise even when ``sigma`` is 0; ``distill`` skips the call then.
+    Takes ``distill``'s checked batch and ``sigma >= 0``, and draws the
+    noise in the batch's dtype, so a float32 batch gets float32 draws.  It
+    draws even when ``sigma`` is 0; ``distill`` skips the call then.
     """
-    return X + sigma * rng.standard_normal(X.shape)
+    return X + sigma * rng.standard_normal(X.shape, dtype=X.dtype)

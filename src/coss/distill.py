@@ -5,7 +5,8 @@ frozen teacher and the trainable student on the same inputs, evaluate
 the configured loss, backpropagate through the student (and projection
 head, if any), and take one SGD step.  All randomness flows from a
 single seeded generator, so a run is a pure function of
-(config, dataset, teacher, index).
+(config, dataset, teacher, index).  Training runs in float32, and
+``distill`` is the one place that picks it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .config import DistillConfig, config_hash
 from .data import Dataset, augment, compose_batch, epoch_batches
 from .errors import ConfigError, NumericalError
 from .knn import NeighborIndex
-from .linalg import as_matrix
+from .linalg import as_matrix, float32_copy
 from .losses import BnParams, objective
 # not called here; perfbench --trace 1 wraps these names on this module
 from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
@@ -71,6 +72,17 @@ def distill(
     built; the rest is checked here, before the first draw.  The step
     kernels (``epoch_batches``, ``compose_batch``, ``sample_neighbors``,
     ``augment``, ``backward``, ``sgd_step``) trust both.
+
+    Training is float32.  On entry the inputs, a dump, the student chain
+    (head included), the ``bn`` affine map and the velocities become
+    float32 copies, so no step converts a batch.  A teacher model stays as
+    given: ``forward`` runs it on each float32 batch through float32 casts
+    of its weights.  One that sees every row unchanged (aug_sigma = 0) is
+    run once here instead, in float64, and its embeddings are used as a
+    dump's are.  Inputs or dumps that float32 cannot hold raise
+    NumericalError.  The student returned, and each one ``eval_hook``
+    gets, is a float64 copy, equal to the float32 one value for value, so
+    it equals its own checkpoint.
     """
     X = dataset.inputs  # training never touches dataset.labels
     n, input_dim = X.shape
@@ -84,26 +96,29 @@ def distill(
     if config.loss_variant == "bn" and last_rows < 2:
         raise ConfigError(f"bn needs ≥ 2 rows per batch, the epoch's last batch has {last_rows}")
     dump = None
-    if not isinstance(teacher, MlpModel):
+    if not isinstance(teacher, MlpModel) or config.aug_sigma == 0.0:
         dump = teacher_embeddings(teacher, X)
         if config.aug_sigma != 0.0:
             raise ConfigError("aug_sigma = 0 for embedding-dump teacher")
+        dump = float32_copy(dump, "teacher embeddings")
     d_t = teacher.output_dim if dump is None else dump.shape[1]
+    X = float32_copy(X, "inputs")
 
     rng = np.random.default_rng(config.seed)
-    student = init_model(
+    student = _float32_model(init_model(
         config.student_spec(input_dim), seed=int(rng.integers(2**31))
-    )
+    ))
     # the head trains as more layers of one chain that shares the student's Layers
     chain = student
     if student.output_dim != d_t:
         # one linear layer bridges the student and teacher widths
         head = init_model(MlpSpec((student.output_dim, d_t)), seed=int(rng.integers(2**31)))
-        chain = MlpModel(student.layers + head.layers)
+        chain = MlpModel(student.layers + _float32_model(head).layers)
 
     bn = None
     if config.loss_variant == "bn":
         bn = BnParams(np.ones(d_t), np.zeros(d_t), eps=config.bn_eps)
+        bn.gamma, bn.beta_shift = bn.gamma.astype(np.float32), bn.beta_shift.astype(np.float32)
 
     params = chain.parameters()
     if bn is not None:
@@ -120,7 +135,7 @@ def distill(
             A_t = forward(teacher, X_aug)[0] if dump is None else dump[rows]
 
             A_s, cache = forward(chain, X_aug)
-            # the dump passed as_matrix on entry; a teacher's output may overflow
+            # the dump passed float32_copy on entry; a teacher's output may overflow
             if not (np.isfinite(A_s).all() and (dump is not None or np.isfinite(A_t).all())):
                 raise NumericalError(f"non-finite embeddings at step {len(log.steps)}")
 
@@ -135,7 +150,16 @@ def distill(
         if eval_hook is not None:
             log.epoch_metrics.append(eval_hook(student.copy(), epoch))
 
-    return student, log
+    return student.copy(), log
+
+
+def _float32_model(model: MlpModel) -> MlpModel:
+    """A float32 copy of ``model`` for training; ``MlpModel.copy`` gives float64 ones."""
+    out = model.copy()
+    for layer in out.layers:
+        layer.weight = float32_copy(layer.weight, "model")
+        layer.bias = float32_copy(layer.bias, "model")
+    return out
 
 
 # The paper's two ablations.  Each grid names its table's key column, the

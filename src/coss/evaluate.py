@@ -17,12 +17,6 @@ from .linalg import DEFAULT_EPS, as_matrix, cosine_top_k, row_cosines, unit_rows
 from .losses import _check_pair
 
 
-def check_k_eval(k_eval: int) -> None:
-    """Raise ValueError unless ``knn_predict`` can vote among ``k_eval`` neighbours."""
-    if k_eval < 1:
-        raise ValueError("k_eval ≥ 1")
-
-
 def _labelled(emb, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
     """``(as_matrix(emb), labels as int64)``, or ValueError unless there is one label per row.
 
@@ -43,7 +37,8 @@ def knn_predict(train_emb, train_labels, test_emb, k_eval: int = 1) -> np.ndarra
     holds only the ``(len(test_emb), k)`` neighbour labels, whatever the
     labels' values or number; negative train labels are rejected.
     """
-    check_k_eval(k_eval)
+    if k_eval < 1:
+        raise ValueError("k_eval ≥ 1")
     X, labels = _labelled(train_emb, train_labels, "train")
     if labels.min() < 0:
         raise ValueError("train labels must be nonnegative")

@@ -29,6 +29,7 @@ import numpy as np
 from .data import Dataset
 from .errors import FormatError, NumericalError
 from .knn import NeighborIndex
+from .linalg import float32_copy
 from .models import ACTIVATIONS, Layer, MlpModel
 
 MAGIC_DATASET = b"CSSD"
@@ -132,16 +133,12 @@ def _read_file(path) -> bytes:
 
 
 def _float32_bytes(values: np.ndarray, what: str) -> bytes:
-    """``values`` as little-endian float32 bytes, or NumericalError if one is not finite there.
+    """``values`` as little-endian float32 bytes (see ``linalg.float32_copy``).
 
-    A finite value beyond float32's range would be written as inf, which the
+    An inf would be written where float32 cannot hold a value, which the
     decoders reject, so the file could not be read back.
     """
-    with np.errstate(over="ignore"):
-        out = values.astype("<f4")
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"{what} has values float32 cannot hold")
-    return out.tobytes()
+    return np.asarray(float32_copy(values, what), dtype="<f4").tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Dense linear-algebra primitives the rest of the package builds on.
 
-All functions operate on 2-D float64 arrays (rows = samples, columns =
-feature dimensions) and never mutate their inputs.  Only ``as_matrix`` and
+All functions operate on 2-D arrays (rows = samples, columns = feature
+dimensions) and never mutate their inputs.  Only ``as_matrix`` and
 ``l2_normalize`` validate; the kernels take arrays that passed ``as_matrix``,
 which are C-ordered, so no kernel decides a memory layout again.  Column
 cosines are ``row_cosines`` of the transposed views, never of copies.
-Outside the file formats, float32 appears only in ``cosine_top_k``'s BLAS
+The kernels compute in their inputs' dtype: float64 everywhere but in
+training, which ``distill`` runs on ``float32_copy``s.  The index and eval
+rankings are float64; float32 appears there only in ``cosine_top_k``'s BLAS
 screen, which picks candidates and never decides an order.
 """
 
@@ -20,13 +22,15 @@ from .errors import NumericalError
 DEFAULT_EPS = 1e-12
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce ``M`` to a C-ordered 2-D float64 array with at least one row and column.
+def as_matrix(M, name: str = "matrix", dtype=np.float64) -> np.ndarray:
+    """Coerce ``M`` to a C-ordered 2-D ``dtype`` array with at least one row and column.
 
-    A C-ordered float64 array comes back as itself.  einsum rounds by memory
-    layout, so this is the one place that fixes it.
+    A C-ordered array of ``dtype`` comes back as itself.  einsum rounds by
+    memory layout, so this is the one place that fixes it.  Every public
+    entry takes the float64 default; only ``forward`` passes float32, for
+    float32 rows.
     """
-    A = np.asarray(M, dtype=np.float64, order="C")
+    A = np.asarray(M, dtype=dtype, order="C")
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
     if A.shape[0] < 1 or A.shape[1] < 1:
@@ -34,6 +38,18 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise NumericalError("non-finite input")
     return A
+
+
+def float32_copy(A: np.ndarray, what: str) -> np.ndarray:
+    """A float32 copy of the finite ``A``, or NumericalError if float32 cannot hold a value.
+
+    A finite value beyond float32's range would round to inf.
+    """
+    with np.errstate(over="ignore"):
+        out = A.astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"{what} has values float32 cannot hold")
+    return out
 
 
 def unit_rows(A: np.ndarray):

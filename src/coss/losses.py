@@ -136,8 +136,9 @@ def _bn_terms(S: np.ndarray, T: np.ndarray, p: BnParams):
 def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None):
     """Both cosine terms, the configured loss and its gradient for one batch.
 
-    ``A_s`` and ``A_t`` are finite, C-ordered float64 matrices of one
-    shape; nothing here checks that.  ``cfg`` supplies ``loss_variant`` and
+    ``A_s`` and ``A_t`` are finite, C-ordered matrices of one shape and
+    one dtype, which every term and gradient keeps (``bn`` of that dtype
+    too); nothing here checks that.  ``cfg`` supplies ``loss_variant`` and
     ``lam``; ``bn`` is the affine map of the ``bn`` variant.
     Returns ``(l_co, l_ss, l_total, G, bn_grads)``: both terms (always
     logged), the configured loss, its gradient with respect to ``A_s`` and,

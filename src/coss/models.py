@@ -1,8 +1,12 @@
 """Small MLPs with explicit forward/backward passes and SGD-with-momentum.
 
 The teacher is one of these, frozen; the student is another, trained.
-Reverse-mode gradients are hand-written so the whole stack stays
-checkable against finite differences at float64.  ``Layer``, ``MlpModel``,
+Reverse-mode gradients are hand-written.  A ``Layer`` built through its
+constructor holds float64 arrays, as users and the decoders build them;
+``distill`` trains float32 copies.  ``forward`` computes in the dtype of
+its input rows, ``backward`` and ``sgd_step`` in that of the arrays they
+are given, so the same code that trains in float32 stays checkable
+against finite differences at float64.  ``Layer``, ``MlpModel``,
 ``MlpSpec`` and ``forward`` validate; ``backward`` and ``sgd_step`` are
 ``distill``'s step kernels and trust what it built.
 """
@@ -80,6 +84,7 @@ class MlpModel:
         return out
 
     def copy(self) -> "MlpModel":
+        """A float64 copy, as every ``Layer`` built through its constructor is."""
         return MlpModel(
             [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
         )
@@ -131,16 +136,23 @@ def init_model(spec: MlpSpec, seed: int) -> MlpModel:
 
 
 def forward(model: MlpModel, X) -> tuple[np.ndarray, list]:
-    """Run the affine+activation chain; the cache feeds :func:`backward`."""
-    A = as_matrix(X, "X")
+    """Run the affine+activation chain; the cache feeds :func:`backward`.
+
+    A float32 array ``X`` runs in float32, and anything else in float64, as
+    ``as_matrix`` makes it.  Weights of the other dtype are cast per call:
+    ``distill``'s float32 batches run its float64 teacher through float32
+    casts of the teacher's weights, and its float32 student not at all.
+    """
+    dtype = np.float32 if getattr(X, "dtype", None) == np.float32 else np.float64
+    A = as_matrix(X, "X", dtype)
     if A.shape[1] != model.input_dim:
         raise ValueError(
             f"input has {A.shape[1]} columns, model expects {model.input_dim}"
         )
     cache = []
     for layer in model.layers:
-        Y = A @ layer.weight.T
-        Y += layer.bias
+        Y = A @ layer.weight.astype(dtype, copy=False).T
+        Y += layer.bias.astype(dtype, copy=False)
         cache.append((A, Y))
         A = _apply_activation(layer.activation, Y)
     return A, cache
@@ -149,11 +161,11 @@ def forward(model: MlpModel, X) -> tuple[np.ndarray, list]:
 def backward(model: MlpModel, cache: list, G) -> list[np.ndarray]:
     """Exact reverse-mode gradients of the chain's parameters.
 
-    ``G`` is the float64 loss gradient at the model output, one row per
-    cached input row; it is left unchanged.  ``cache`` is this model's
-    :func:`forward` cache, as ``distill`` passes them.  Returns the gradients
-    in :meth:`MlpModel.parameters` order.  Nothing reads a gradient for the
-    model input, so none is formed.
+    ``G`` is the loss gradient at the model output, one row per cached
+    input row, in the model's dtype; it is left unchanged.  ``cache`` is
+    this model's :func:`forward` cache, as ``distill`` passes them.  Returns
+    the gradients in :meth:`MlpModel.parameters` order.  Nothing reads a
+    gradient for the model input, so none is formed.
     """
     grads: list[np.ndarray] = [None] * (2 * len(model.layers))
     for i in range(len(model.layers) - 1, -1, -1):
@@ -172,8 +184,9 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
     Parameters and velocity buffers are updated in place; ``cfg`` supplies
-    ``lr``, ``momentum`` and ``weight_decay``.  Takes one gradient and one
-    velocity per parameter, of its shape, as ``distill`` builds them.
+    ``lr``, ``momentum`` and ``weight_decay``, as Python floats, which keep
+    the arrays' dtype.  Takes one gradient and one velocity per parameter,
+    of its shape and dtype, as ``distill`` builds them.
     """
     for p, g, v in zip(params, grads, velocities):
         v *= cfg.momentum

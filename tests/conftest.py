@@ -29,13 +29,14 @@ def blas_kernel() -> str:
     return "unknown"
 
 
-def pin_note() -> str:
-    """A failing pin's message: the kernel it ran under and the one it was recorded under.
+def pin_note(recorded=("SkylakeX",)) -> str:
+    """A failing pin's message: the kernel it ran under and the kernels it was recorded under.
 
     Another kernel rounds training's and the probe's matmuls differently
-    (README "Determinism").
+    (README "Determinism"), so training's pins are recorded per kernel, and
+    on a kernel with none recorded they fail with this message.
     """
-    return f"ran under OpenBLAS kernel {blas_kernel()}, recorded under SkylakeX"
+    return f"ran under OpenBLAS kernel {blas_kernel()}, recorded under {', '.join(recorded)}"
 
 
 def finite_diff(f, X, h=1e-6):

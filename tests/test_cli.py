@@ -27,7 +27,7 @@ from coss.io import (
 )
 from coss.models import MlpSpec, forward, init_model
 
-from conftest import corruptions, pin_note
+from conftest import blas_kernel, corruptions, pin_note
 
 CONFIG_TEXT = (
     "[distill]\n"
@@ -86,22 +86,35 @@ def workspace(tmp_path):
     return paths
 
 
-@pytest.fixture
-def diverging_bench(tmp_path):
-    """The bundled benchmark, indexed, with a config whose lr of 1e300 diverges at once.
+def bench_with_lr(tmp_path, lr):
+    """The bundled benchmark, indexed, with a 2-epoch config of learning rate ``lr``.
 
-    The benchmark's 8-D student trains through a head to its 16-D teacher;
-    at lr 1e300 the head is the first to see the overflow.  ``args`` are the
-    inputs that ``distill`` and ``ablate`` share.
+    ``args`` are the inputs that ``distill`` and ``ablate`` share.
     """
     data, teacher = tmp_path / "bench.cssd", tmp_path / "teacher.cssm"
     index, config = tmp_path / "nn.cssk", tmp_path / "diverge.ini"
     write_dataset(data, make_benchmark_dataset())
     write_model(teacher, make_benchmark_teacher())
-    config.write_text(render_config(benchmark_config(lr=1e300, epochs=2)), encoding="utf-8")
+    config.write_text(render_config(benchmark_config(lr=lr, epochs=2)), encoding="utf-8")
     inputs = ["--data", str(data), "--teacher", str(teacher)]
     assert main(["precompute", *inputs, "--pool", "16", "--out", str(index)]) == 0
     return {"root": tmp_path, "args": [*inputs, "--config", str(config), "--index", str(index)]}
+
+
+@pytest.fixture
+def diverging_bench(tmp_path):
+    """The bundled benchmark with an lr of 1e300, which diverges at once.
+
+    The benchmark's 8-D student trains through a head to its 16-D teacher;
+    at lr 1e300 the head is the first to see the overflow.
+    """
+    return bench_with_lr(tmp_path, 1e300)
+
+
+@pytest.fixture
+def float32_diverging_bench(tmp_path):
+    """The bundled benchmark with an lr of 1e30, which float64 would train on finitely."""
+    return bench_with_lr(tmp_path, 1e30)
 
 
 def run_coss(*argv):
@@ -371,21 +384,45 @@ class TestEval:
         "flag,value",
         [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-1"), ("--epochs", "-1")],
     )
-    def test_bad_probe_arguments_are_data_errors(self, workspace, capsys, flag, value):
-        student = self.trained_student(workspace)
+    def test_bad_probe_arguments_are_data_errors(self, workspace, capsys, monkeypatch, flag, value):
+        # named when these exited 3; an out-of-range option is a usage error, exit 2
+        def no_read(*args):
+            raise AssertionError("a file was read before the options were checked")
+
         report = workspace["root"] / "probe.tsv"
+        monkeypatch.setattr(coss.cli.io, "read_dataset", no_read)
         code = main(
             [
                 "eval",
-                "--student", str(student),
+                "--student", str(workspace["teacher"]),
                 "--data", str(workspace["data"]),
                 "--suite", "probe",
                 "--out", str(report),
                 flag, value,
             ]
         )
-        assert code == 3
-        assert "probe" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: probe")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("suite,flag,value,message", [
+        ("knn", "--k-eval", "0", "k_eval ≥ 1"),
+        ("knn", "--split-seed", "-1", "split_seed ≥ 0"),
+        ("probe", "--split-seed", "-1", "split_seed ≥ 0"),
+        ("retrieval", "--recall-k", "0", "recall_k ≥ 1"),
+    ])
+    def test_out_of_range_options_are_usage_errors_before_any_read(
+        self, workspace, capsys, monkeypatch, suite, flag, value, message
+    ):
+        def no_read(*args):
+            raise AssertionError("a file was read before the options were checked")
+
+        report = workspace["root"] / "r.tsv"
+        monkeypatch.setattr(coss.cli.io, "read_dataset", no_read)
+        code = main(["eval", "--student", str(workspace["teacher"]), "--data", str(workspace["data"]),
+                     "--suite", suite, flag, value, "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not report.exists()
 
     def test_diverging_probe_is_a_numerical_error(self, workspace, capsys):
@@ -482,7 +519,7 @@ class TestAblate:
 
     @pytest.mark.parametrize(
         "flag,value,message",
-        [("--k-eval", "0", "k_eval ≥ 1"), ("--split-seed", "-1", "expected non-negative integer")],
+        [("--k-eval", "0", "k_eval ≥ 1"), ("--split-seed", "-1", "split_seed ≥ 0")],
     )
     def test_bad_eval_arguments_fail_before_training(
         self, workspace, capsys, monkeypatch, flag, value, message
@@ -492,8 +529,8 @@ class TestAblate:
 
         monkeypatch.setattr(coss.cli, "ablate", no_training)
         code, report = self.run_grid(workspace, "components", "bad.tsv", flag, value)
-        assert code == 3
-        assert message in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not report.exists()
 
     def test_component_grid_prints_three_rows(self, workspace, capsys):
@@ -522,28 +559,36 @@ class TestAblate:
         text = report.read_text(encoding="utf-8")
         assert parse_report(text) == read_report(report)
 
-    # SHA-256 of the report file and of the printed table.  First recorded
-    # before the component and lambda drivers were merged into one ablation
-    # loop; re-recorded when the logged l_ss moved onto the column pass the
-    # gradient uses, which moved only the final_l_ss and final_l_total columns,
-    # and when config_hash became the SHA-256 of the rendered INI, which moved
-    # only the config_hash column.  Recorded under OpenBLAS's SkylakeX kernel:
-    # another kernel rounds training's matmuls differently (README "Determinism").
+    # SHA-256 of the report file and of the printed table, per OpenBLAS kernel
+    # (see test_distill.PINNED_RUNS).  First recorded before the component and
+    # lambda drivers were merged into one ablation loop; re-recorded when the
+    # logged l_ss moved onto the column pass the gradient uses, when
+    # config_hash became the SHA-256 of the rendered INI, and when training
+    # moved to float32, this time under SkylakeX and OPENBLAS_CORETYPE=Haswell.
     PINNED_REPORTS = {
-        "components": ("d2902c168c9f583bc0e7f28a9e78c3ca88c28d559dc72720f9b1a475424ebf65",
-                       "59e7f36c56688c8f781126d9ad479f7ba9005159f78c452089ee7829eb416956"),
-        "lambda": ("e7d8a58766fccdba21250125bc06f21180c89596f49a5faa1b68ac3cd76100b7",
-                   "82c8722b94f374a9414ba8786a91bfce02b0b6248bd7be712dfabbbea4bf5996"),
+        "SkylakeX": {
+            "components": ("b9926f99d9f0e56e48ad677871128ee195f8d386eeaabea78db02eb297fe911a",
+                           "d0824ed283a7983b0d7e8cd79ec949a1d5ad4815ac2533ad3dfdf82fe0480ff6"),
+            "lambda": ("1c16a704045fe3dbc33b8ec05148f68b38a73ece7a2c552503b06d086342bcf5",
+                       "12cd9839316c2cde4d90508bdef6938f8e29ddd3bcb3562a280b81f12324bc95"),
+        },
+        "Haswell": {
+            "components": ("b9926f99d9f0e56e48ad677871128ee195f8d386eeaabea78db02eb297fe911a",
+                           "d0824ed283a7983b0d7e8cd79ec949a1d5ad4815ac2533ad3dfdf82fe0480ff6"),
+            "lambda": ("1c16a704045fe3dbc33b8ec05148f68b38a73ece7a2c552503b06d086342bcf5",
+                       "12cd9839316c2cde4d90508bdef6938f8e29ddd3bcb3562a280b81f12324bc95"),
+        },
     }
 
-    @pytest.mark.parametrize("grid", PINNED_REPORTS)
+    @pytest.mark.parametrize("grid", PINNED_REPORTS["SkylakeX"])
     def test_reports_and_tables_keep_their_bytes(self, workspace, capsys, grid):
         capsys.readouterr()
         code, report = self.run_grid(workspace, grid, f"{grid}.tsv")
         assert code == 0
         table = capsys.readouterr().out.encode("utf-8")
         digests = tuple(hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), table))
-        assert digests == self.PINNED_REPORTS[grid], pin_note()
+        pins = self.PINNED_REPORTS
+        assert digests == pins.get(blas_kernel(), {}).get(grid), pin_note(pins)
 
 
 class TestProbeReport:
@@ -732,6 +777,16 @@ class TestExitCodes:
     def test_diverging_command_prints_one_line_and_no_warning(self, diverging_bench, command):
         out = diverging_bench["root"] / "out"
         code, err = run_coss(*command, *diverging_bench["args"], "--out", out)
+        assert code == 4
+        assert err.splitlines() == ["numerical error: non-finite embeddings at step 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["distill"], ["ablate", "--grid", "components"]])
+    def test_lr_that_overflows_float32_alone_prints_one_line_and_no_warning(
+        self, float32_diverging_bench, command
+    ):
+        out = float32_diverging_bench["root"] / "out"
+        code, err = run_coss(*command, *float32_diverging_bench["args"], "--out", out)
         assert code == 4
         assert err.splitlines() == ["numerical error: non-finite embeddings at step 1"]
         assert not out.exists()

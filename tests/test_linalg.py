@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coss.linalg
+from coss.errors import NumericalError
 from coss.knn import build_index
 from coss.linalg import (
     TINY_32,
@@ -16,6 +17,7 @@ from coss.linalg import (
     _screen_margin,
     as_matrix,
     cosine_top_k,
+    float32_copy,
     l2_normalize,
     top_k,
 )
@@ -54,6 +56,23 @@ class TestAsMatrix:
         assert A.dtype == np.float64 and A.flags.c_contiguous
         assert not np.shares_memory(A, M)
         np.testing.assert_array_equal(A, M)
+
+    def test_c_input_of_the_asked_dtype_comes_back_as_itself(self):
+        M = np.random.default_rng(3).normal(size=(6, 4)).astype(np.float32)
+        assert as_matrix(M, dtype=np.float32) is M
+        assert as_matrix(M.T, dtype=np.float32).flags.c_contiguous
+
+
+class TestFloat32Copy:
+    def test_values_float32_holds_round_to_nearest(self):
+        M = np.random.default_rng(4).normal(size=(3, 5))
+        out = float32_copy(M, "M")
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, M.astype(np.float32))
+
+    def test_a_value_beyond_float32_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="big has values float32 cannot hold"):
+            float32_copy(np.array([1.0, -1e39]), "big")
 
 
 class TestL2Normalize:
