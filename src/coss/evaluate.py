@@ -72,35 +72,35 @@ def _fit_probe(X: np.ndarray, t: np.ndarray, C: int, epochs: int, lr: float,
                seed: int) -> np.ndarray:
     """Weights (d + 1, C) of softmax regression on ``X`` and class ids ``t``, by full-batch GD.
 
-    Every epoch works in place in one (n, C) buffer.  The row maximum is
-    C elementwise maxima over the columns, which is exact in any order;
-    the row sum keeps ``np.sum``'s order and ``Xb.T`` keeps its layout,
-    since either change would round differently.
+    Every epoch works in place and class-major: the logits are one
+    C-ordered (C, n) buffer, so the max, exp, sum and divide over the
+    classes run along contiguous rows, and the (C, d + 1) gradient updates
+    ``W`` through its transposed view.  Its sums run in another order than
+    the textbook (n, C) loop's, so the weights are its own rounding of them.
     """
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 0.01, size=(d + 1, C))
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), t] = 1.0
-    P = np.empty((n, C))
+    Wt = W.T  # the (C, d + 1) view the loop updates
+    onehot = np.zeros((C, n))
+    onehot[t, np.arange(n)] = 1.0
+    P = np.empty((C, n))
     m = np.empty(n)
-    s = np.empty((n, 1))
-    g = np.empty_like(W)
+    s = np.empty(n)
+    g = np.empty((C, d + 1))
     for _ in range(epochs):
-        np.matmul(Xb, W, out=P)
-        np.copyto(m, P[:, 0])
-        for c in range(1, C):
-            np.maximum(m, P[:, c], out=m)
-        P -= m[:, None]
+        np.matmul(Wt, Xb.T, out=P)
+        P.max(axis=0, out=m)
+        P -= m
         np.exp(P, out=P)
-        np.sum(P, axis=1, keepdims=True, out=s)
+        P.sum(axis=0, out=s)
         P /= s
         P -= onehot
-        np.matmul(Xb.T, P, out=g)
+        np.matmul(P, Xb, out=g)
         g *= lr
         g /= n
-        W -= g
+        Wt -= g
     return W
 
 

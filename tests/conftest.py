@@ -112,8 +112,9 @@ def brute_loss_ss(S, T):
 def reference_probe_weights(X, y, epochs, lr, seed):
     """The linear probe's softmax-regression loop as first written, one fresh array per step.
 
-    ``evaluate._fit_probe`` does the same arithmetic in place; its weights
-    must match these bit for bit.
+    ``evaluate._fit_probe`` does the same arithmetic in place and
+    class-major, so its sums run in another order: its weights must match
+    these to rounding, and bit for bit before the first epoch.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

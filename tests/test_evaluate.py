@@ -289,7 +289,9 @@ class TestLinearProbe:
         assert acc >= 0.99
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_weights_match_the_reference_loop_bit_for_bit(self, seed):
+    def test_weights_match_the_reference_loop_to_rounding(self, seed):
+        # the class-major loop sums in another order than the reference, so
+        # its weights may move in the last bits, never its training predictions
         rng = np.random.default_rng([seed, 16])
         for i in range(10):
             n = int(rng.integers(2, 4001 if i == 0 else 300))
@@ -300,10 +302,37 @@ class TestLinearProbe:
             classes, t = np.unique(y, return_inverse=True)
             if classes.size < 2:
                 continue
+            case = (n, d, C, epochs, lr)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 W = _fit_probe(X, t, classes.size, epochs, lr, seed)
                 want = reference_probe_weights(X, y, epochs, lr, seed)
-            assert W.tobytes() == want.tobytes(), (n, d, C, epochs, lr)
+            if epochs == 0:
+                assert W.tobytes() == want.tobytes(), case
+            assert np.isfinite(W).all() == np.isfinite(want).all(), case
+            if not np.isfinite(want).all():
+                continue
+            assert np.abs(W - want).max() <= 1e-6 * max(1.0, np.abs(want).max()), case
+            Xb = np.hstack([X, np.ones((n, 1))])
+            assert np.array_equal(np.argmax(Xb @ W, axis=1), np.argmax(Xb @ want, axis=1)), case
+
+    def test_fit_works_in_place(self):
+        # the epochs reuse the fit's buffers: 50 epochs allocate no more than 1,
+        # and the fit holds at most two (n, d + 1 + C) float64 arrays' worth
+        rng = np.random.default_rng(8)
+        n, d, C = 4000, 16, 10
+        X, t = rng.normal(size=(n, d)), np.arange(n) % C
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for epochs in (1, 50):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                _fit_probe(X, t, C, epochs, 0.5, 0)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[50] <= peaks[1] + 4096, peaks
+        assert peaks[50] <= 2 * n * (d + 1 + C) * 8 + 64 * 1024, peaks
 
     def test_test_labels_must_match_test_rows(self):
         X, y = self.separable_blobs()
