@@ -3,11 +3,13 @@
     python scripts/bench_pair.py --against REV [--record TAG]
 
 Exports REV (``git archive``) and the working tree (``git stash create``, or
-HEAD when nothing tracked has changed; untracked files are left out) into
-two temporary directories, so no run writes into the checkout.  For each
-workload in ``BENCHMARK.json`` it then alternates pairs of whole
-``perfbench/run.py --trace 0`` runs of its ``run_seconds``, one per tree,
-both on the same seed, with the side that runs first swapped every pair.
+HEAD when nothing tracked has changed) into two temporary directories, so no
+run writes into the checkout.  ``git stash create`` leaves untracked files
+out, so an untracked, unignored file under ``src/`` or ``perfbench/`` is an
+error before anything is exported.  For each workload in ``BENCHMARK.json``
+it then alternates pairs of whole ``perfbench/run.py --trace 0`` runs of
+its ``run_seconds``, one per tree, both on the same seed, with the side
+that runs first swapped every pair.
 
 Per end-to-end metric it prints both medians, both interquartile ranges,
 the ratio change / REV and how many pairs each side won (ties count for
@@ -191,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.record is not None and not re.fullmatch(r"[\w.-]+", args.record):
             raise PairError(f"tag {args.record!r} is not a file-name part ([A-Za-z0-9_.-])")
         rev = resolve(args.against)
+        untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+        if untracked:
+            raise PairError(f"untracked {untracked.splitlines()[0]} would be left out of the "
+                            "change; add it to git first")
         change = git("stash", "create") or resolve("HEAD")
         bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:

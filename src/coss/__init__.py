@@ -24,7 +24,7 @@ from .evaluate import (
 )
 from .knn import NeighborIndex, build_index
 from .linalg import l2_normalize
-from .losses import BnParams, grad_co, grad_ss, loss_bn, loss_co, loss_ss
+from .losses import grad_co, grad_ss, loss_bn, loss_co, loss_ss
 from .models import MlpModel, MlpSpec, forward, init_model
 
 __version__ = "0.1.0"

@@ -81,7 +81,9 @@ def cmd_precompute(args) -> int:
 
 
 def _check_eval_options(args, suite: str) -> None:
-    """ConfigError for an out-of-range option that ``suite`` reads, before any file is read."""
+    """ConfigError for a missing or out-of-range option of ``suite``, before any file is read."""
+    if suite == "align" and args.teacher is None:
+        raise ConfigError("suite 'align' requires --teacher")
     if suite in ("knn", "probe") and args.split_seed < 0:
         raise ConfigError("split_seed ≥ 0")
     if suite == "knn" and args.k_eval < 1:
@@ -162,8 +164,6 @@ def cmd_eval(args) -> int:
         rec = recall_at_k(emb, emb, labels, labels, K=args.recall_k, exclude_self=True)
         records += [("K", args.recall_k), ("recall", rec)]
     else:  # align
-        if args.teacher is None:
-            raise ConfigError("suite 'align' requires --teacher")
         t_emb = teacher_embeddings(_load_teacher(args.teacher), dataset.inputs)
         if t_emb.shape[1] != emb.shape[1]:
             raise ConfigError(

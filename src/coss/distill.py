@@ -20,7 +20,7 @@ from .data import Dataset, augment, compose_batch, epoch_batches
 from .errors import ConfigError, NumericalError
 from .knn import NeighborIndex
 from .linalg import as_matrix, float32_copy
-from .losses import BnParams, objective
+from .losses import objective
 # not called here; perfbench --trace 1 wraps these names on this module
 from .losses import grad_co, grad_ss, loss_co, loss_ss  # noqa: F401
 from .models import MlpModel, MlpSpec, backward, forward, init_model, sgd_step
@@ -115,14 +115,9 @@ def distill(
         head = init_model(MlpSpec((student.output_dim, d_t)), seed=int(rng.integers(2**31)))
         chain = MlpModel(student.layers + _float32_model(head).layers)
 
-    bn = None
-    if config.loss_variant == "bn":
-        bn = BnParams(np.ones(d_t), np.zeros(d_t), eps=config.bn_eps)
-        bn.gamma, bn.beta_shift = bn.gamma.astype(np.float32), bn.beta_shift.astype(np.float32)
-
-    params = chain.parameters()
-    if bn is not None:
-        params = params + [bn.gamma, bn.beta_shift]
+    # the bn variant's affine map (gamma, beta_shift) trains as two more parameters
+    bn = [np.ones(d_t, np.float32), np.zeros(d_t, np.float32)] if config.loss_variant == "bn" else []
+    params = chain.parameters() + bn
     velocities = [np.zeros_like(p) for p in params]
 
     log = RunLog(steps_per_epoch=-(-n // config.batch_size))

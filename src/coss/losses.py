@@ -18,8 +18,6 @@ The per-term functions validate their inputs and are its references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DEFAULT_EPS, as_matrix, row_cosines
@@ -76,73 +74,65 @@ def grad_ss(A_s, A_t) -> np.ndarray:
     return _space_grad(row_cosines(S.T, T.T), S.shape[1])
 
 
-@dataclass
-class BnParams:
-    """Trainable per-dimension affine map applied after batch standardisation."""
-
-    gamma: np.ndarray       # (d,) scale
-    beta_shift: np.ndarray  # (d,) shift
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.beta_shift = np.asarray(self.beta_shift, dtype=np.float64)
-        if self.gamma.ndim != 1 or self.gamma.shape != self.beta_shift.shape:
-            raise ValueError("gamma and beta_shift must be 1-D with equal length")
-        if not (np.all(np.isfinite(self.gamma)) and np.all(np.isfinite(self.beta_shift))):
-            raise ValueError("non-finite input")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-
-def loss_bn(X_s, X_t, p: BnParams):
+def loss_bn(X_s, X_t, gamma, beta_shift, eps):
     """Match affinely rescaled, batch-standardised student embeddings to raw teacher ones.
 
-    Standardisation uses the population sigma per dimension, guarded from
-    below by ``p.eps``.  Returns the mean per-sample squared L2 distance
-    plus gradients for the student input and both affine parameters.
+    ``gamma`` and ``beta_shift`` are the (d,) scale and shift of the affine
+    map.  Standardisation uses the population sigma per dimension, guarded
+    from below by ``eps`` > 0.  Returns the mean per-sample squared L2
+    distance plus gradients for the student input, ``gamma`` and
+    ``beta_shift``.
     """
     S, T = _check_pair(X_s, X_t)
     if S.shape[0] < 2:
         raise ValueError("batch too small for BN")
-    if p.gamma.shape[0] != S.shape[1]:
+    gamma = np.asarray(gamma, dtype=np.float64)
+    beta_shift = np.asarray(beta_shift, dtype=np.float64)
+    if gamma.ndim != 1 or gamma.shape != beta_shift.shape:
+        raise ValueError("gamma and beta_shift must be 1-D with equal length")
+    if gamma.shape[0] != S.shape[1]:
         raise ValueError("BN parameter length does not match feature count")
-    return _bn_terms(S, T, p)
+    if not (np.isfinite(gamma).all() and np.isfinite(beta_shift).all()):
+        raise ValueError("non-finite input")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    return _bn_terms(S, T, gamma, beta_shift, eps)
 
 
-def _bn_terms(S: np.ndarray, T: np.ndarray, p: BnParams):
-    """``loss_bn`` on validated matrices of one shape, at least 2 rows, and ``p`` as wide."""
+def _bn_terms(S: np.ndarray, T: np.ndarray, gamma, beta_shift, eps: float):
+    """``loss_bn`` on validated matrices of one shape, at least 2 rows, and a map as wide."""
     b = S.shape[0]
     mu = S.mean(axis=0)
     std = np.sqrt(S.var(axis=0))
-    sigma = np.maximum(std, p.eps)
+    sigma = np.maximum(std, eps)
     X_hat = (S - mu) / sigma
-    Z = p.gamma * X_hat + p.beta_shift
+    Z = gamma * X_hat + beta_shift
     R = Z - T
     loss = float(np.mean(np.einsum("ij,ij->i", R, R)))
 
     dZ = (2.0 / b) * R
     dgamma = np.einsum("ij,ij->j", dZ, X_hat)
     dbeta_shift = dZ.sum(axis=0)
-    dX_hat = dZ * p.gamma
+    dX_hat = dZ * gamma
     mean_g = dX_hat.mean(axis=0)
     mean_gx = np.einsum("ij,ij->j", dX_hat, X_hat) / b
     # dims where the guard kicked in have constant sigma: no variance path
-    var_term = np.where(std > p.eps, X_hat * mean_gx, 0.0)
+    var_term = np.where(std > eps, X_hat * mean_gx, 0.0)
     dX = (dX_hat - mean_g - var_term) / sigma
     return loss, dX, dgamma, dbeta_shift
 
 
-def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None):
+def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn=()):
     """Both cosine terms, the configured loss and its gradient for one batch.
 
     ``A_s`` and ``A_t`` are finite, C-ordered matrices of one shape and
     one dtype, which every term and gradient keeps (``bn`` of that dtype
-    too); nothing here checks that.  ``cfg`` supplies ``loss_variant`` and
-    ``lam``; ``bn`` is the affine map of the ``bn`` variant.
+    too); nothing here checks that.  ``cfg`` supplies ``loss_variant``,
+    ``lam`` and ``bn_eps``; ``bn`` is the ``(gamma, beta_shift)`` pair of
+    the ``bn`` variant's affine map.
     Returns ``(l_co, l_ss, l_total, G, bn_grads)``: both terms (always
     logged), the configured loss, its gradient with respect to ``A_s`` and,
-    for ``bn``, the gradients of ``bn.gamma`` and ``bn.beta_shift``.  Every
+    for ``bn``, the gradients of ``gamma`` and ``beta_shift``.  Every
     value is bit-identical to the per-term functions' (``loss_co``,
     ``loss_ss``, ``grad_co``, ``grad_ss``, ``loss_bn``).
     """
@@ -150,7 +140,7 @@ def objective(A_s: np.ndarray, A_t: np.ndarray, cfg, bn: BnParams | None = None)
     l_co, l_ss = -float(np.mean(row[4])), -float(np.mean(col[4]))
     bn_grads = []
     if cfg.loss_variant == "bn":
-        l_total, G, *bn_grads = _bn_terms(A_s, A_t, bn)
+        l_total, G, *bn_grads = _bn_terms(A_s, A_t, *bn, cfg.bn_eps)
     elif cfg.loss_variant == "ss_only":
         G, l_total = _space_grad(col, A_s.shape[1]), l_ss
     else:

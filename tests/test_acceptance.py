@@ -36,7 +36,7 @@ from coss.io import (
     write_model,
 )
 from coss.knn import build_index
-from coss.losses import BnParams, grad_ss, loss_bn, loss_co, loss_ss, objective
+from coss.losses import grad_ss, loss_bn, loss_co, loss_ss, objective
 from coss.models import MlpSpec, backward, forward, init_model
 
 from conftest import (
@@ -249,39 +249,29 @@ def test_7_normalized_matching_variant_gradients():
         d = int(rng.integers(1, 6))
         X = rng.normal(size=(b, d))
         T = rng.normal(size=(b, d))
-        params = BnParams(rng.uniform(0.5, 2.0, size=d), rng.normal(size=d))
-        _, dX, dgamma, dbeta = loss_bn(X, T, params)
+        gamma, beta_shift = rng.uniform(0.5, 2.0, size=d), rng.normal(size=d)
+        _, dX, dgamma, dbeta = loss_bn(X, T, gamma, beta_shift, 1e-5)
 
         assert_grad_close(
             dX,
-            finite_diff(lambda M: loss_bn(M, T, params)[0], X, h=h),
+            finite_diff(lambda M: loss_bn(M, T, gamma, beta_shift, 1e-5)[0], X, h=h),
             rtol=1e-6,
             atol=1e-9,
         )
         assert_grad_close(
             dgamma,
-            finite_diff(
-                lambda g: loss_bn(X, T, BnParams(g, params.beta_shift))[0],
-                params.gamma,
-                h=h,
-            ),
+            finite_diff(lambda g: loss_bn(X, T, g, beta_shift, 1e-5)[0], gamma, h=h),
             rtol=1e-6,
             atol=1e-9,
         )
         assert_grad_close(
             dbeta,
-            finite_diff(
-                lambda s: loss_bn(X, T, BnParams(params.gamma, s))[0],
-                params.beta_shift,
-                h=h,
-            ),
+            finite_diff(lambda s: loss_bn(X, T, gamma, s, 1e-5)[0], beta_shift, h=h),
             rtol=1e-6,
             atol=1e-9,
         )
 
-    loss, _, _, _ = loss_bn(
-        [[1.0], [3.0]], [[-1.0], [3.0]], BnParams([2.0], [1.0])
-    )
+    loss, _, _, _ = loss_bn([[1.0], [3.0]], [[-1.0], [3.0]], [2.0], [1.0], 1e-5)
     assert loss == 0.0
     _verdict(7, "whitened-matching gradients and zero case", time.perf_counter() - t0)
 

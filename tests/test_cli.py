@@ -384,8 +384,9 @@ class TestEval:
         "flag,value",
         [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-1"), ("--epochs", "-1")],
     )
-    def test_bad_probe_arguments_are_data_errors(self, workspace, capsys, monkeypatch, flag, value):
-        # named when these exited 3; an out-of-range option is a usage error, exit 2
+    def test_bad_probe_arguments_are_usage_errors_before_any_read(
+        self, workspace, capsys, monkeypatch, flag, value
+    ):
         def no_read(*args):
             raise AssertionError("a file was read before the options were checked")
 
@@ -423,6 +424,20 @@ class TestEval:
                      "--suite", suite, flag, value, "--out", str(report)])
         assert code == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not report.exists()
+
+    def test_align_without_teacher_is_a_usage_error_before_any_read(
+        self, workspace, capsys, monkeypatch
+    ):
+        def no_read(*args):
+            raise AssertionError("a file was read before the options were checked")
+
+        report = workspace["root"] / "r.tsv"
+        monkeypatch.setattr(coss.cli.io, "read_dataset", no_read)
+        code = main(["eval", "--student", str(workspace["root"] / "missing.cssm"),
+                     "--data", str(workspace["data"]), "--suite", "align", "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: suite 'align' requires --teacher\n"
         assert not report.exists()
 
     def test_diverging_probe_is_a_numerical_error(self, workspace, capsys):

@@ -15,7 +15,7 @@ from coss.distill import ABLATION_GRIDS, _float32_model, ablate, distill
 from coss.errors import ConfigError, NumericalError
 from coss.io import encode_model, read_model, write_model
 from coss.knn import build_index
-from coss.losses import BnParams, objective
+from coss.losses import objective
 from coss.models import Layer, MlpModel, MlpSpec, backward, forward, init_model, sgd_step
 
 from conftest import blas_kernel, pin_note
@@ -241,9 +241,8 @@ class TestFloat32Training:
         rng = np.random.default_rng(0)
         student = _float32_model(init_model(MlpSpec((6, 7, 3), hidden_activation="tanh"), seed=1))
         chain = MlpModel(student.layers + _float32_model(init_model(MlpSpec((3, 5)), seed=2)).layers)
-        bn = BnParams(np.ones(5), np.zeros(5))
-        bn.gamma, bn.beta_shift = bn.gamma.astype(np.float32), bn.beta_shift.astype(np.float32)
-        params = chain.parameters() + ([bn.gamma, bn.beta_shift] if variant == "bn" else [])
+        bn = [np.ones(5, np.float32), np.zeros(5, np.float32)] if variant == "bn" else []
+        params = chain.parameters() + bn
         velocities = [np.zeros_like(p) for p in params]
 
         X_aug = augment(ds.inputs[:16].astype(np.float32), 0.05, rng)

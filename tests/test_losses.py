@@ -11,7 +11,6 @@ from coss.config import DistillConfig
 from coss.errors import ConfigError
 from coss.linalg import UNIT_ROUNDOFF, _gamma
 from coss.losses import (
-    BnParams,
     grad_co,
     grad_ss,
     loss_bn,
@@ -211,48 +210,67 @@ class TestGradCoss:
 
 class TestLossBn:
     def test_hand_constructed_zero(self):
-        loss, dX, dg, db = loss_bn(
-            [[1.0], [3.0]], [[-1.0], [3.0]], BnParams([2.0], [1.0])
-        )
+        loss, dX, dg, db = loss_bn([[1.0], [3.0]], [[-1.0], [3.0]], [2.0], [1.0], 1e-5)
         assert loss == 0.0
 
     def test_self_consistency_zero(self):
         rng = np.random.default_rng(23)
         X_s = rng.normal(size=(6, 3))
-        p = BnParams(rng.normal(size=3), rng.normal(size=3))
+        gamma, beta_shift, eps = rng.normal(size=3), rng.normal(size=3), 1e-5
         mu = X_s.mean(axis=0)
-        sigma = np.maximum(np.sqrt(X_s.var(axis=0)), p.eps)
-        X_t = p.gamma * (X_s - mu) / sigma + p.beta_shift
-        loss, *_ = loss_bn(X_s, X_t, p)
+        sigma = np.maximum(np.sqrt(X_s.var(axis=0)), eps)
+        X_t = gamma * (X_s - mu) / sigma + beta_shift
+        loss, *_ = loss_bn(X_s, X_t, gamma, beta_shift, eps)
         assert loss == pytest.approx(0.0, abs=1e-20)
 
     def test_batch_too_small(self):
         with pytest.raises(ValueError, match="batch too small for BN"):
-            loss_bn([[1.0, 2.0]], [[1.0, 2.0]], BnParams([1.0, 1.0], [0.0, 0.0]))
+            loss_bn([[1.0, 2.0]], [[1.0, 2.0]], [1.0, 1.0], [0.0, 0.0], 1e-5)
 
     def test_parameter_length_must_match_the_width(self):
         with pytest.raises(ValueError, match="BN parameter length does not match feature count"):
-            loss_bn(np.eye(3), np.eye(3), BnParams([1.0, 1.0], [0.0, 0.0]))
+            loss_bn(np.eye(3), np.eye(3), [1.0, 1.0], [0.0, 0.0], 1e-5)
+
+    @pytest.mark.parametrize(
+        "gamma, beta_shift, eps, message",
+        [
+            ([1.0, np.nan], [0.0, 0.0], 1e-5, "non-finite input"),
+            ([1.0, 1.0], [0.0, np.inf], 1e-5, "non-finite input"),
+            ([1.0, 1.0], [0.0, 0.0], 0.0, "eps must be positive"),
+            ([1.0, 1.0], [0.0, 0.0], -1.0, "eps must be positive"),
+            ([1.0, 1.0], [0.0, 0.0], np.nan, "eps must be positive"),
+            ([[1.0, 1.0]], [0.0, 0.0], 1e-5, "1-D with equal length"),
+            ([1.0, 1.0], [0.0, 0.0, 0.0], 1e-5, "1-D with equal length"),
+        ],
+        ids=["nan-gamma", "inf-beta-shift", "eps-0", "eps-negative", "eps-nan",
+             "2d-gamma", "unequal-lengths"],
+    )
+    def test_bad_affine_map_or_eps_is_rejected(self, gamma, beta_shift, eps, message):
+        with pytest.raises(ValueError, match=message):
+            loss_bn(np.eye(2), np.eye(2), gamma, beta_shift, eps)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         X_s, X_t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        p = BnParams(rng.normal(size=4), rng.normal(size=4))
-        loss, dX, dg, db = loss_bn(X_s, X_t, p)
+        gamma, beta_shift = rng.normal(size=4), rng.normal(size=4)
+        loss, dX, dg, db = loss_bn(X_s, X_t, gamma, beta_shift, 1e-5)
         h = 3e-5
         assert_grad_close(
-            dX, finite_diff(lambda X: loss_bn(X, X_t, p)[0], X_s, h), rtol=1e-6, atol=1e-9
+            dX,
+            finite_diff(lambda X: loss_bn(X, X_t, gamma, beta_shift, 1e-5)[0], X_s, h),
+            rtol=1e-6,
+            atol=1e-9,
         )
         assert_grad_close(
             dg,
-            finite_diff(lambda g: loss_bn(X_s, X_t, BnParams(g, p.beta_shift, p.eps))[0], p.gamma, h),
+            finite_diff(lambda g: loss_bn(X_s, X_t, g, beta_shift, 1e-5)[0], gamma, h),
             rtol=1e-6,
             atol=1e-9,
         )
         assert_grad_close(
             db,
-            finite_diff(lambda b: loss_bn(X_s, X_t, BnParams(p.gamma, b, p.eps))[0], p.beta_shift, h),
+            finite_diff(lambda b: loss_bn(X_s, X_t, gamma, b, 1e-5)[0], beta_shift, h),
             rtol=1e-6,
             atol=1e-9,
         )
@@ -263,14 +281,14 @@ class TestLossBn:
         X_s = rng.normal(size=(5, 2))
         X_s[:, 0] = 2.0
         X_t = rng.normal(size=(5, 2))
-        p = BnParams([1.5, -0.5], [0.3, 0.1])
-        _, dX, _, _ = loss_bn(X_s, X_t, p)
-        numeric = finite_diff(lambda X: loss_bn(X, X_t, p)[0], X_s, h=1e-7)
+        p = ([1.5, -0.5], [0.3, 0.1], 1e-5)
+        _, dX, _, _ = loss_bn(X_s, X_t, *p)
+        numeric = finite_diff(lambda X: loss_bn(X, X_t, *p)[0], X_s, h=1e-7)
         assert_grad_close(dX, numeric, rtol=1e-4, atol=1e-6)
 
     def test_gamma_may_be_zero(self):
         X_s, X_t = random_pair(41, shape=(4, 2))
-        loss, dX, dg, db = loss_bn(X_s, X_t, BnParams([0.0, 0.0], [0.0, 0.0]))
+        loss, dX, dg, db = loss_bn(X_s, X_t, [0.0, 0.0], [0.0, 0.0], 1e-5)
         np.testing.assert_array_equal(dX, 0.0)
         assert np.any(dg != 0.0)
 
@@ -279,7 +297,7 @@ def per_term(S, T, cfg, bn):
     """The training step's arithmetic spelled out with the validated per-term functions."""
     l_co, l_ss = loss_co(S, T), loss_ss(S, T)
     if cfg.loss_variant == "bn":
-        l_total, G, d_gamma, d_beta = loss_bn(S, T, bn)
+        l_total, G, d_gamma, d_beta = loss_bn(S, T, *bn, cfg.bn_eps)
         return l_co, l_ss, l_total, G, [d_gamma, d_beta]
     if cfg.loss_variant == "ss_only":
         return l_co, l_ss, l_ss, grad_ss(S, T), []
@@ -324,8 +342,8 @@ class TestObjective:
         T = rng.normal(size=(rows, cols))
         S[rng.choice(rows, size=min(zero_rows, rows - 1), replace=False)] = 0.0
         cfg = DistillConfig(**OBJECTIVE_CONFIGS[variant])
-        bn = BnParams(rng.normal(size=cols), rng.normal(size=cols), eps=cfg.bn_eps)
-        got = objective(S, T, cfg, bn if variant == "bn" else None)
+        bn = (rng.normal(size=cols), rng.normal(size=cols))
+        got = objective(S, T, cfg, bn if variant == "bn" else ())
         assert bits(got) == bits(per_term(S, T, cfg, bn))
 
     @pytest.mark.parametrize("variant", OBJECTIVE_CONFIGS)
@@ -342,12 +360,12 @@ class TestObjective:
             monkeypatch.setattr(module, "row_cosines", counted)
         S, T = random_pair(3, shape=(6, 3))
         cfg = DistillConfig(**OBJECTIVE_CONFIGS[variant])
-        bn = BnParams(np.ones(3), np.zeros(3), eps=cfg.bn_eps) if variant == "bn" else None
+        bn = (np.ones(3), np.zeros(3)) if variant == "bn" else ()
         objective(S, T, cfg, bn)
         assert len(calls) == 2
 
     def test_bn_total_is_the_bn_loss(self):
         S, T = random_pair(7, shape=(6, 3))
         cfg = DistillConfig(loss_variant="bn")
-        bn = BnParams(np.ones(3), np.zeros(3), eps=cfg.bn_eps)
-        assert objective(S, T, cfg, bn)[2] == loss_bn(S, T, bn)[0]
+        bn = (np.ones(3), np.zeros(3))
+        assert objective(S, T, cfg, bn)[2] == loss_bn(S, T, *bn, cfg.bn_eps)[0]

@@ -173,3 +173,27 @@ def test_bench_pair_rejects_a_bad_revision_before_any_run(monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (ROOT / "BENCH_never.json").exists()
+
+
+def test_bench_pair_refuses_an_untracked_source_file_before_any_run(monkeypatch, capsys):
+    bench_pair = load_script("bench_pair")
+
+    def fake_git(*args):
+        if args[0] == "ls-files":
+            return "src/coss/newmod.py\nperfbench/extra.py"
+        if args[0] == "rev-parse":
+            return "0" * 40
+        raise AssertionError(f"git {args[0]} ran after the untracked check")
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pair, "git", fake_git)
+    monkeypatch.setattr(bench_pair, "run_pairs", no_run)
+    monkeypatch.setattr(bench_pair, "export", no_run)
+    before = sorted(ROOT.glob("BENCH_*.json"))
+    assert bench_pair.main(["--against", "HEAD", "--record", "never"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: untracked src/coss/newmod.py ")
+    assert sorted(ROOT.glob("BENCH_*.json")) == before
